@@ -186,3 +186,19 @@ def ramsey_formula(m: int, n: int) -> int | None:
     if 4 <= m < n:
         return max(n - 1 + m // 2, 2 * m - 1)
     return None
+
+
+def gallai_ramsey_formula(m: int, k: int) -> int | None:
+    """Closed-form gr_k(K_3 : C_m), or None where no closed form is known.
+
+    m = 3 is the Chung-Graham value: 5^(k/2) + 1 for even k and
+    2 * 5^((k-1)/2) + 1 for odd k.  m = 2*ell + 1 with ell >= 3 is
+    ell * 2^k + 1 (Gallai-Ramsey numbers of odd cycles).
+    """
+    if k < 1:
+        return None
+    if m == 3:
+        return 5 ** (k // 2) + 1 if k % 2 == 0 else 2 * 5 ** ((k - 1) // 2) + 1
+    if m % 2 == 1 and m >= 7:
+        return (m - 1) // 2 * 2**k + 1
+    return None

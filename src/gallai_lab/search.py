@@ -1,10 +1,15 @@
 """Exhaustive search for colorings avoiding forbidden structures.
 
 Colorings are grown one vertex at a time (the new vertex's color vector to
-all earlier vertices), pruning as soon as a forbidden structure appears;
-partial colorings are kept only in canonical form (lexicographically minimal
-color word under vertex relabeling) so each isomorphism class is expanded
-once.  The search is split into one branch per color of the first edge;
+all earlier vertices), pruning as soon as a forbidden structure appears.
+Each isomorphism class of partial colorings is expanded once, by one of two
+rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring is kept only when
+it is a min-image: no vertex relabeling gives a lexicographically smaller
+color word.  Above the cap each branch keeps a store of the classes it has
+seen.  A coloring's bucket in the store is the trace of its color-degree
+refinement, and it is new when no stored coloring in that bucket is
+isomorphic to it (individualization plus refinement, checked edge by edge).
+The search is split into one branch per color of the first edge;
 budgets are divided over branches up front, so thread count never changes
 which nodes are counted and reports come out identical either way.
 """
@@ -22,6 +27,7 @@ from .coloring import ColoredCompleteGraph
 from .constructions import (
     build_extremal_odd,
     build_ramsey_cycle_lower,
+    gallai_ramsey_formula,
     ramsey_formula,
     random_gallai,
 )
@@ -170,33 +176,86 @@ def _is_min_image(colors: list[list[int]], ell: int) -> bool:
     return True
 
 
-def _canonical_key(colors: list[list[int]], ell: int) -> tuple[int, ...]:
-    """The minimal color word over all relabelings (seen-set key above the cap)."""
-    best: list[int] | None = None
-    img = [0] * ell
-    used = [False] * ell
+def _refine(colors: list[list[int]], cells: list[list[int]]) -> tuple[list[list[int]], list]:
+    """Split an ordered partition by color degree until it is equitable.
 
-    def place(r: int, word: list[int]) -> None:
-        nonlocal best
-        if r == ell:
-            if best is None or word < best:
-                best = list(word)
-            return
-        for cand in range(ell):
-            if used[cand]:
-                continue
-            crow = colors[cand]
-            grown = word + [crow[img[i]] for i in range(r)]
-            if best is not None and grown > best[: len(grown)]:
-                continue
-            used[cand] = True
-            img[r] = cand
-            place(r + 1, grown)
-            used[cand] = False
+    A vertex's signature is the sorted multiset of (edge color, cell of the
+    other end) over the other vertices.  Each round splits every cell into
+    groups of equal signature, ordered by signature, so the outcome depends on
+    the coloring and the incoming partition but never on the labels.  Returns
+    the equitable partition and its trace: every group's (cell position,
+    size, signature), round by round.
+    """
+    ell = sum(len(cell) for cell in cells)
+    trace = []
+    while True:
+        width = len(cells)
+        cell_of = [0] * ell
+        for i, cell in enumerate(cells):
+            for v in cell:
+                cell_of[v] = i
+        split: list[list[int]] = []
+        for i, cell in enumerate(cells):
+            groups: dict[tuple[int, ...], list[int]] = {}
+            for v in cell:
+                row = colors[v]
+                sig = tuple(sorted([row[w] * width + cell_of[w] for w in range(ell) if w != v]))
+                groups.setdefault(sig, []).append(v)
+            for sig in sorted(groups):
+                trace.append((i, len(groups[sig]), sig))
+                split.append(groups[sig])
+        if len(split) == width:
+            return split, trace
+        cells = split
 
-    place(0, [])
-    assert best is not None
-    return tuple(best)
+
+def _isomorphic(ca: list[list[int]], pa: list[list[int]],
+                cb: list[list[int]], pb: list[list[int]]) -> bool:
+    """Is there a color-preserving bijection taking each cell of pa onto the same cell of pb?
+
+    pa and pb are equitable partitions reached with equal traces.  A fixed
+    vertex of pa's first non-singleton cell is individualized against each
+    vertex of pb's matching cell; both sides are refined and, on equal
+    traces, the search recurses.  Discrete partitions are compared edge by edge.
+    """
+    for i, cell in enumerate(pa):
+        if len(cell) > 1:
+            break
+    else:
+        image = [0] * len(pa)
+        for (u,), (w,) in zip(pa, pb):
+            image[u] = w
+        return all(
+            ca[u][w] == cb[image[u]][image[w]] for u in range(len(pa)) for w in range(u)
+        )
+    qa, ta = _refine(ca, pa[:i] + [[cell[0]], cell[1:]] + pa[i + 1:])
+    for b in pb[i]:
+        rest = [w for w in pb[i] if w != b]
+        qb, tb = _refine(cb, pb[:i] + [[b], rest] + pb[i + 1:])
+        if tb == ta and _isomorphic(ca, qa, cb, qb):
+            return True
+    return False
+
+
+class _ClassStore:
+    """Isomorphism classes of colorings seen so far, bucketed by refinement trace.
+
+    Colorings of different orders never share a trace, so one store serves
+    every level.  Each class keeps one small color matrix and its partition.
+    """
+
+    def __init__(self):
+        self.buckets: dict[tuple, list[tuple[list[list[int]], list[list[int]]]]] = {}
+
+    def add(self, colors: list[list[int]], ell: int) -> bool:
+        """Record the coloring on vertices 0..ell-1; False if its class was already here."""
+        cells, trace = _refine(colors, [list(range(ell))])
+        bucket = self.buckets.setdefault(tuple(trace), [])
+        for stored, stored_cells in bucket:
+            if _isomorphic(colors, cells, stored, stored_cells):
+                return False
+        bucket.append(([row[:ell] for row in colors[:ell]], cells))
+        return True
 
 
 class _BranchRun:
@@ -220,7 +279,7 @@ class _BranchRun:
         self.rejected = 0
         self.found: ColoredCompleteGraph | None = None
         self.exceeded = False
-        self.seen: dict[int, set[tuple[int, ...]]] = {}
+        self.seen = _ClassStore()
 
     def run(self) -> "_BranchRun":
         c = self.first
@@ -314,16 +373,11 @@ class _BranchRun:
             return
         if level <= CANONICAL_LEVEL_CAP:
             ok = _is_min_image(self.colors, level)
+        elif any(any(self.masks[c]) for c in range(1, self.first)):
+            # the class belongs to the branch of its minimal edge color
+            ok = False
         else:
-            key = _canonical_key(self.colors, level)
-            if key[0] != self.first:
-                # the class belongs to the branch of its minimal edge color
-                ok = False
-            else:
-                bucket = self.seen.setdefault(level, set())
-                ok = key not in bucket
-                if ok:
-                    bucket.add(key)
+            ok = self.seen.add(self.colors, level)
         if not ok:
             self.rejected += 1
             return
@@ -521,7 +575,9 @@ def _run_threshold(
     inconclusive = False
     for order in range(1, cap + 1):
         problem = AvoidanceProblem(order, k, forbidden, rainbow)
-        out = exists_avoiding(problem, budget=budget, threads=threads)
+        out = exists_avoiding(
+            problem, budget=budget, threads=threads, limit_overrides=limit_overrides
+        )
         stats.absorb(out.stats)
         if out.status == FOUND:
             last_found = out.coloring
@@ -600,10 +656,17 @@ def search_gallai_ramsey(
         if ell * 2**k <= 64:
             construction, _ = build_extremal_odd(ell, k)
     params = {"m": m, "k": k, "n_max": n_max, "seed": seed}
-    return _run_threshold(
+    report = _run_threshold(
         "GallaiRamsey", params, k, (m,) * k, k >= 3, n_max, budget, threads, seed,
         limit_overrides, construction,
     )
+    formula = gallai_ramsey_formula(m, k)
+    if report.value is not None and formula is not None and report.value != formula:
+        raise AssertionError(
+            f"search value {report.value} contradicts the closed form {formula}"
+            f" for gr_{k}(K_3 : C_{m})"
+        )
+    return report
 
 
 # -- certificates ---------------------------------------------------------------

@@ -141,6 +141,39 @@ def automorphism_count(g: ColoredCompleteGraph) -> int:
     return count
 
 
+def canonical_key(colors: list[list[int]], ell: int) -> tuple[int, ...]:
+    """The minimal color word over all relabelings (reference isomorphism invariant).
+
+    Factorial in the worst case; the search dedups by refinement and an
+    isomorphism test instead, and the tests check the two agree.
+    """
+    best: list[int] | None = None
+    img = [0] * ell
+    used = [False] * ell
+
+    def place(r: int, word: list[int]) -> None:
+        nonlocal best
+        if r == ell:
+            if best is None or word < best:
+                best = list(word)
+            return
+        for cand in range(ell):
+            if used[cand]:
+                continue
+            crow = colors[cand]
+            grown = word + [crow[img[i]] for i in range(r)]
+            if best is not None and grown > best[: len(grown)]:
+                continue
+            used[cand] = True
+            img[r] = cand
+            place(r + 1, grown)
+            used[cand] = False
+
+    place(0, [])
+    assert best is not None
+    return tuple(best)
+
+
 # -- randomized inputs ---------------------------------------------------------------
 
 

@@ -269,6 +269,11 @@ def test_search_limit_flag_and_env(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["value"] == 9
 
+    # a limit above the default reaches orders the default would refuse
+    code, out = run(capsys, "search", "ramsey", "--m", "5", "--n", "6", "--limit", "2:11")
+    assert code == 0
+    assert json.loads(out)["value"] == 11
+
 
 def test_search_stdout_has_null_witness_file(capsys):
     code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3")

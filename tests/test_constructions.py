@@ -13,6 +13,7 @@ from gallai_lab.constructions import (
     build_ramsey_cycle_lower,
     check_recipe,
     even_cycle_bounds,
+    gallai_ramsey_formula,
     ramsey_formula,
     random_gallai,
 )
@@ -173,6 +174,18 @@ def test_ramsey_formula_known_values():
     assert ramsey_formula(4, 7) == 8
     assert ramsey_formula(6, 7) == 11
     assert ramsey_formula(10, 11) == 19
+
+
+def test_gallai_ramsey_formula_values():
+    # Chung-Graham for triangles, ell * 2^k + 1 for C_{2 ell + 1} with ell >= 3
+    assert [gallai_ramsey_formula(3, k) for k in (1, 2, 3)] == [3, 6, 11]
+    assert [gallai_ramsey_formula(7, k) for k in (1, 2, 3)] == [7, 13, 25]
+    assert [gallai_ramsey_formula(9, k) for k in (1, 2, 3)] == [9, 17, 33]
+    # agrees with the two-color cycle Ramsey value where both apply
+    assert gallai_ramsey_formula(7, 2) == ramsey_formula(7, 7)
+    for m in (4, 5, 6, 8):
+        assert gallai_ramsey_formula(m, 2) is None
+    assert gallai_ramsey_formula(7, 0) is None
 
 
 def test_ramsey_formula_exceptions_and_range():

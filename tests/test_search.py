@@ -8,7 +8,8 @@ import random
 
 import pytest
 
-from gallai_lab.coloring import ColoredCompleteGraph
+from gallai_lab.coloring import ColoredCompleteGraph, build, relabel
+from gallai_lab.constructions import gallai_ramsey_formula, ramsey_formula
 from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import BadParameters, OverLimit
 from gallai_lab.search import (
@@ -18,6 +19,7 @@ from gallai_lab.search import (
     AvoidanceProblem,
     SearchReport,
     SearchStats,
+    _ClassStore,
     enumerate_avoiding,
     exists_avoiding,
     feasibility_limit,
@@ -28,7 +30,7 @@ from gallai_lab.search import (
     verify_certificate,
 )
 
-from oracles import automorphism_count, random_coloring
+from oracles import automorphism_count, canonical_key, random_coloring
 
 
 # -- enumeration completeness -------------------------------------------------------
@@ -51,8 +53,16 @@ def test_enumeration_covers_every_labeled_coloring():
         assert len(words) == len(reps), "duplicate canonical representative"
 
 
+def _matrix(g: ColoredCompleteGraph) -> list[list[int]]:
+    mat = [[0] * g.n for _ in range(g.n)]
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            mat[u][v] = mat[v][u] = g.color_of(u, v)
+    return mat
+
+
 def test_seen_set_regime_counts_like_min_image(monkeypatch):
-    # forcing the hash fallback on tiny orders must not change what is kept:
+    # forcing the class-store regime on tiny orders must not change what is kept:
     # each isomorphism class still appears exactly once, in the branch of its
     # minimal edge color
     import gallai_lab.search as search_mod
@@ -60,17 +70,79 @@ def test_seen_set_regime_counts_like_min_image(monkeypatch):
     monkeypatch.setattr(search_mod, "CANONICAL_LEVEL_CAP", 2)
 
     def key_of(g):
-        mat = [[0] * g.n for _ in range(g.n)]
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                mat[u][v] = mat[v][u] = g.color_of(u, v)
-        return search_mod._canonical_key(mat, g.n)
+        return canonical_key(_matrix(g), g.n)
 
     for n, k in [(4, 2), (5, 2), (4, 3)]:
         reps = enumerate_avoiding(AvoidanceProblem.uniform(n, k, n + 1))
         assert _orbit_sum(reps) == k ** (n * (n - 1) // 2)
         keys = {key_of(g) for g in reps}
         assert len(keys) == len(reps), "isomorphic duplicates across branches"
+
+
+def _shuffled(rng, g: ColoredCompleteGraph) -> ColoredCompleteGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _circulant(n: int, color_of_distance: dict[int, int]) -> ColoredCompleteGraph:
+    return build(n, 2, {
+        (u, v): color_of_distance[min(v - u, n - v + u)]
+        for u in range(n) for v in range(u + 1, n)
+    })
+
+
+def _cycle_union(lengths) -> ColoredCompleteGraph:
+    # color 1 is a disjoint union of cycles, color 2 the rest
+    n = sum(lengths)
+    colors = {(u, v): 2 for u in range(n) for v in range(u + 1, n)}
+    start = 0
+    for m in lengths:
+        for i in range(m):
+            u, v = start + i, start + (i + 1) % m
+            colors[min(u, v), max(u, v)] = 1
+        start += m
+    return build(n, 2, colors)
+
+
+def _assert_store_agrees_with_oracle(colorings) -> None:
+    # a coloring opens a new class in the store exactly when its minimal
+    # word has not been seen before
+    store = _ClassStore()
+    keys = set()
+    for g in colorings:
+        mat = _matrix(g)
+        key = canonical_key(mat, g.n)
+        assert store.add(mat, g.n) == (key not in keys)
+        keys.add(key)
+
+
+def test_class_store_agrees_with_oracle_key_on_random_colorings():
+    rng = random.Random(2024)
+    for n in range(2, 10):
+        for k in (2, 3):
+            pool = [random_coloring(rng, n, k) for _ in range(6)]
+            pool += [_shuffled(rng, g) for g in pool for _ in range(2)]
+            rng.shuffle(pool)
+            _assert_store_agrees_with_oracle(pool)
+
+
+def test_class_store_agrees_with_oracle_key_on_symmetric_colorings():
+    # regular colorings leave refinement nothing to split, so only
+    # individualization tells the classes apart; color 1 at distances
+    # {1, 3, 5} of Z_10 is K_{5,5}, with 28,800 automorphisms
+    rng = random.Random(7)
+    pool = []
+    for ones in ({1, 3, 5}, {1, 2, 5}, {2, 4, 5}, {3, 4, 5}):
+        g = _circulant(10, {d: 1 if d in ones else 2 for d in range(1, 6)})
+        pool += [g, _shuffled(rng, g), _shuffled(rng, g)]
+    # 2-regular color classes on nine vertices: one refinement cell that is
+    # not one orbit unless the cycles all have the same length
+    for lengths in ((9,), (3, 6), (4, 5), (3, 3, 3)):
+        g = _cycle_union(lengths)
+        pool += [g] + [_shuffled(rng, g) for _ in range(3)]
+    rng.shuffle(pool)
+    _assert_store_agrees_with_oracle(pool)
 
 
 def test_enumeration_matches_bruteforce_filter_with_rainbow():
@@ -205,6 +277,21 @@ def test_search_ramsey_small_exact_values():
     assert verify_certificate(rep).valid
 
 
+def test_search_thresholds_honor_raised_limits():
+    rep = search_ramsey(5, 6, limit_overrides={2: 11})
+    assert rep.value == 11 == ramsey_formula(5, 6)
+    assert verify_certificate(rep).valid
+    rep = search_gallai_ramsey(3, 3, limit_overrides={3: 11})
+    assert rep.value == 11 == gallai_ramsey_formula(3, 3)
+    assert verify_certificate(rep).valid
+
+
+def test_search_ramsey_c5_c7_exhausts_at_thirteen():
+    rep = search_ramsey(5, 7, limit_overrides={2: 13})
+    assert rep.value == 13 == ramsey_formula(5, 7)
+    assert verify_certificate(rep).valid
+
+
 def test_search_ramsey_partial_prefers_construction_witness():
     rep = search_ramsey(5, 7)  # true value 13, beyond the k=2 limit of 9
     assert rep.value is None and rep.upper is None
@@ -257,6 +344,9 @@ def test_formula_cross_check_trips_on_contradiction(monkeypatch):
     monkeypatch.setattr(search_mod, "ramsey_formula", lambda m, n: 99)
     with pytest.raises(AssertionError):
         search_mod.search_ramsey(4, 4)
+    monkeypatch.setattr(search_mod, "gallai_ramsey_formula", lambda m, k: 99)
+    with pytest.raises(AssertionError):
+        search_mod.search_gallai_ramsey(5, 1)
 
 
 # -- report serialization and verification ------------------------------------------------
