@@ -3,7 +3,6 @@
 from .coloring import (
     MAX_VERTICES,
     BitGraph,
-    ColorClassView,
     ColoredCompleteGraph,
     VertexSubset,
     build,
@@ -19,7 +18,6 @@ from .constructions import (
     build_extremal_odd,
     build_ramsey_cycle_lower,
     check_recipe,
-    even_cycle_bounds,
     ramsey_formula,
     random_gallai,
 )

@@ -156,13 +156,11 @@ def _cmd_partition(args: argparse.Namespace) -> int:
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     g = _read_coloring(args.file)
     if args.kind == "dirac":
-        view = g.color_class(args.color)
-        w = detectors.dirac_hamiltonian(view)
+        w = detectors.dirac_hamiltonian(g.color_class(args.color))
         _emit_json(w.to_json_dict(), args.output)
         return 0
     if args.kind == "eg-path":
-        view = g.color_class(args.color)
-        w = detectors.erdos_gallai_path(view, args.edges)
+        w = detectors.erdos_gallai_path(g.color_class(args.color), args.edges, args.color)
         if w is None:
             _emit_json({"found": False}, args.output)
         else:
@@ -204,12 +202,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     if args.family == "ramsey":
         report = search.search_ramsey(
             args.m, args.n, n_max=args.n_max, budget=args.budget,
-            threads=args.threads, seed=args.seed, limit_overrides=overrides,
+            seed=args.seed, limit_overrides=overrides,
         )
     else:
         report = search.search_gallai_ramsey(
             args.m, args.k, n_max=args.n_max, budget=args.budget,
-            threads=args.threads, seed=args.seed, limit_overrides=overrides,
+            seed=args.seed, limit_overrides=overrides,
         )
     wpath = _witness_path(args)
     if report.witness is not None and wpath is not None:
@@ -302,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--n", type=int, help="cycle order for color 2 (ramsey)")
     sch.add_argument("--k", type=int, help="palette size (gallai)")
     sch.add_argument("--n-max", type=int, help="largest order to try")
-    sch.add_argument("--budget", type=int, help="node budget per order, split over branches")
-    sch.add_argument("--threads", type=int, default=1)
+    sch.add_argument("--budget", type=int, help="node budget per order")
     sch.add_argument("--seed", type=int, default=0)
     sch.add_argument("--limit", help="feasibility overrides like 2:10,3:8")
     sch.add_argument("--witness-file")

@@ -40,6 +40,25 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def row_union(masks: Sequence[int], group: int) -> int:
+    """Union of the adjacency rows of the vertices in ``group``."""
+    out = 0
+    for v in bits(group):
+        out |= masks[v]
+    return out
+
+
+def closure(masks: Sequence[int], seed: int, allowed: int) -> int:
+    """Vertices reachable from the seed set by edges staying inside ``allowed``."""
+    reach = seed & allowed
+    frontier = reach
+    while frontier:
+        nxt = row_union(masks, frontier) & allowed & ~reach
+        reach |= nxt
+        frontier = nxt
+    return reach
+
+
 class BitGraph:
     """Simple undirected graph on vertices 0..n-1 with bitmask adjacency rows."""
 
@@ -83,20 +102,6 @@ class BitGraph:
 
     def __repr__(self) -> str:
         return f"BitGraph(n={self.n}, edges={self.edge_count()})"
-
-
-class ColorClassView(BitGraph):
-    """The simple graph formed by one color's edges, on the parent's vertex set."""
-
-    __slots__ = ("parent", "color")
-
-    def __init__(self, parent: "ColoredCompleteGraph", color: int):
-        super().__init__(parent.n, parent.class_masks(color))
-        self.parent = parent
-        self.color = color
-
-    def __repr__(self) -> str:
-        return f"ColorClassView(color={self.color}, n={self.n})"
 
 
 @dataclass(frozen=True)
@@ -186,17 +191,12 @@ class ColoredCompleteGraph:
     def class_mask_row(self, color: int, v: int) -> int:
         return self._masks[color][v]
 
-    def color_class(self, color: int) -> ColorClassView:
-        return ColorClassView(self, color)
+    def color_class(self, color: int) -> BitGraph:
+        """The simple graph formed by one color's edges."""
+        return BitGraph(self.n, self.class_masks(color))
 
     def edge_colors(self) -> tuple[int, ...]:
         return self._colors
-
-    def with_palette(self, k: int) -> "ColoredCompleteGraph":
-        """The same coloring with the declared palette widened to ``k``."""
-        if k < self.k:
-            raise ValueError(f"cannot shrink palette from {self.k} to {k}")
-        return ColoredCompleteGraph(self.n, k, self._colors)
 
     # -- value semantics ---------------------------------------------------
 

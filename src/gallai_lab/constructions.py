@@ -164,11 +164,6 @@ def random_gallai(n: int, k: int, seed: int) -> ColoredCompleteGraph:
     return gen(n)
 
 
-def even_cycle_bounds(n: int, k: int) -> tuple[int, int]:
-    """Known (lower, upper) bounds for the k-color even-cycle threshold C_{2n}."""
-    return ((n - 1) * k + n + 1, (n - 1) * k + 3 * n)
-
-
 def ramsey_formula(m: int, n: int) -> int | None:
     """Closed-form two-color cycle Ramsey value R(C_m, C_n), or None where undefined.
 

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coloring import BitGraph, ColoredCompleteGraph, bits
+from .coloring import BitGraph, ColoredCompleteGraph, bits, closure, row_union
 from .errors import DegreePreconditionFailed, DiracPreconditionFailed
 
 RAINBOW_TRIANGLE = "RainbowTriangle"
@@ -57,27 +57,6 @@ def canonical_path(vs: Sequence[int]) -> tuple[int, ...]:
     return tuple(min(vs, vs[::-1]))
 
 
-# -- bitset helpers ----------------------------------------------------------
-
-
-def _nbhd(masks: Sequence[int], group: int) -> int:
-    out = 0
-    for v in bits(group):
-        out |= masks[v]
-    return out
-
-
-def _closure(masks: Sequence[int], seed: int, allowed: int) -> int:
-    """Vertices reachable from the seed set by edges staying inside ``allowed``."""
-    reach = seed & allowed
-    frontier = reach
-    while frontier:
-        nxt = _nbhd(masks, frontier) & allowed & ~reach
-        reach |= nxt
-        frontier = nxt
-    return reach
-
-
 # -- exact-length searches ---------------------------------------------------
 
 
@@ -103,10 +82,10 @@ def _exact_cycle_from(masks: Sequence[int], anchor: int, m: int, universe: int) 
             return False
         y = 1 << last
         for _ in range(m - d):
-            y = _nbhd(masks, y) & avail
+            y = row_union(masks, y) & avail
             if not y:
                 return False
-        if not (_nbhd(masks, y) & abit):
+        if not (row_union(masks, y) & abit):
             return False
         for u in bits(masks[last] & avail):
             path.append(u)
@@ -127,7 +106,7 @@ def _exact_path_search(masks: Sequence[int], n: int, p: int, universe: int) -> l
     if p == 1:
         return [(universe & -universe).bit_length() - 1]
     for s in bits(universe):
-        comp = _closure(masks, 1 << s, universe)
+        comp = closure(masks, 1 << s, universe)
         if comp.bit_count() < p:
             continue
         path = [s]
@@ -141,7 +120,7 @@ def _exact_path_search(masks: Sequence[int], n: int, p: int, universe: int) -> l
             cand = masks[last] & avail
             if not cand:
                 return False
-            if _closure(masks, cand, avail).bit_count() < p - len(path):
+            if closure(masks, cand, avail).bit_count() < p - len(path):
                 return False
             for u in bits(cand):
                 path.append(u)
@@ -187,7 +166,7 @@ def find_mono_cycle(g: ColoredCompleteGraph, color: int, m: int) -> Witness | No
     full = (1 << g.n) - 1
     for s in range(g.n):
         upper = full & ~((1 << (s + 1)) - 1)
-        comp = _closure(masks, 1 << s, upper | (1 << s))
+        comp = closure(masks, 1 << s, upper | (1 << s))
         if comp.bit_count() < m:
             continue
         found = _exact_cycle_from(masks, s, m, upper)
@@ -295,7 +274,7 @@ def dirac_hamiltonian(h: BitGraph) -> Witness:
     return Witness(HAMILTON_CYCLE, canonical_cycle(cyc))
 
 
-def erdos_gallai_path(h: BitGraph, k_edges: int) -> Witness | None:
+def erdos_gallai_path(h: BitGraph, k_edges: int, color: int | None = None) -> Witness | None:
     """A path with k_edges edges, guaranteed when 2*e(G) > (k_edges-1)*n.
 
     Follows the classical reduction: repeatedly drop a vertex of degree at
@@ -303,13 +282,13 @@ def erdos_gallai_path(h: BitGraph, k_edges: int) -> Witness | None:
     reaches k/2 grow a path by extension and rotation inside one component.
     A component swallowed whole is too small to matter and is discarded.
     Below the edge bound this falls back to exact search with no guarantee.
+    ``color`` is recorded on the witness: the color class ``h`` was taken from.
     """
     if k_edges < 1:
         raise ValueError(f"path length {k_edges} must be at least 1")
     n = h.n
     target = k_edges + 1
     masks = h.masks
-    color = getattr(h, "color", None)
     active = (1 << n) - 1
     guaranteed: bool | None = None
     while active:
@@ -329,7 +308,7 @@ def erdos_gallai_path(h: BitGraph, k_edges: int) -> Witness | None:
         if peeled:
             continue
         start = (active & -active).bit_length() - 1
-        comp = _closure(masks, 1 << start, active)
+        comp = closure(masks, 1 << start, active)
         path = _grow_path_rotation(masks, comp, start, target)
         if len(path) >= target:
             return Witness(MONO_PATH, canonical_path(path[:target]), color)
@@ -386,7 +365,7 @@ def _dense_color_path(
                 v = u + 1 + (above & -above).bit_length() - 1
                 return Witness(MONO_PATH, (u, v), color)
         raise AssertionError("dense color class has no edge")
-    w = erdos_gallai_path(g.color_class(color), order - 1)
+    w = erdos_gallai_path(g.color_class(color), order - 1, color)
     assert w is not None
     return w
 

@@ -9,9 +9,9 @@ color word.  Above the cap each branch keeps a store of the classes it has
 seen.  A coloring's bucket in the store is the trace of its color-degree
 refinement, and it is new when no stored coloring in that bucket is
 isomorphic to it (individualization plus refinement, checked edge by edge).
-The search is split into one branch per color of the first edge;
-budgets are divided over branches up front, so thread count never changes
-which nodes are counted and reports come out identical either way.
+The search is split into one branch per color of the first edge, and the
+branches run one after another.  A node budget is one cap for the whole
+order: each branch may expand what the earlier branches left.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -262,7 +261,8 @@ class _BranchRun:
     """Enumeration restricted to one color of the edge {0,1}.
 
     A canonical coloring's word starts with its minimal edge color, so the
-    branches partition all canonical colorings and never overlap.
+    branches partition all canonical colorings and never overlap.  ``budget``
+    caps the nodes this branch may expand, None for no cap.
     """
 
     def __init__(self, problem: AvoidanceProblem, first_color: int, budget: int | None,
@@ -385,26 +385,19 @@ class _BranchRun:
         self._extend(level)
 
 
-def _split_budget(budget: int | None, parts: int) -> list[int | None]:
-    if budget is None:
-        return [None] * parts
-    share = budget // parts
-    extra = budget % parts
-    return [share + (1 if i < extra else 0) for i in range(parts)]
-
-
 def exists_avoiding(
     problem: AvoidanceProblem,
     budget: int | None = None,
-    threads: int = 1,
     limit_overrides: dict[int, int] | None = None,
 ) -> SearchOutcome:
     """Decide whether any coloring of K_n avoids everything the problem forbids.
 
     Returns found (with a coloring), exhausted, or budget_exceeded.  The
-    budget is a hard cap on expanded nodes, split over first-edge branches
-    up front, so results do not depend on the thread count.
+    budget is a hard cap on expanded nodes, shared by the first-edge
+    branches in order: each branch gets what the earlier ones left.
     """
+    if budget is not None and budget < 1:
+        raise BadParameters(f"node budget {budget} must be at least 1")
     limit = feasibility_limit(problem.k, limit_overrides)
     if problem.n > limit:
         raise OverLimit(problem.n, problem.k, limit)
@@ -414,33 +407,21 @@ def exists_avoiding(
         stats.nodes = stats.canonical = 1
         stats.ms = int((time.monotonic() - t0) * 1000)
         return SearchOutcome(FOUND, ColoredCompleteGraph(1, problem.k, []), stats)
-    budgets = _split_budget(budget, problem.k)
-    runs = [_BranchRun(problem, c, budgets[c - 1]) for c in range(1, problem.k + 1)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda r: r.run(), runs))
-    else:
-        for r in runs:
-            r.run()
-            if r.found is not None:
-                break
-    found = None
-    exceeded = False
-    for r in runs:
+    status, found = EXHAUSTED, None
+    for c in range(1, problem.k + 1):
+        left = None if budget is None else budget - stats.nodes
+        r = _BranchRun(problem, c, left).run()
         stats.nodes += r.nodes
         stats.canonical += r.canonical
         stats.rejected += r.rejected
         if r.found is not None:
-            found = r.found
+            status, found = FOUND, r.found
             break
         if r.exceeded:
-            exceeded = True
+            status = BUDGET_EXCEEDED
+            break
     stats.ms = int((time.monotonic() - t0) * 1000)
-    if found is not None:
-        return SearchOutcome(FOUND, found, stats)
-    if exceeded:
-        return SearchOutcome(BUDGET_EXCEEDED, None, stats)
-    return SearchOutcome(EXHAUSTED, None, stats)
+    return SearchOutcome(status, found, stats)
 
 
 def enumerate_avoiding(
@@ -562,7 +543,6 @@ def _run_threshold(
     rainbow: bool,
     n_max: int | None,
     budget: int | None,
-    threads: int,
     seed: int,
     limit_overrides: dict[int, int] | None,
     construction: ColoredCompleteGraph | None,
@@ -575,9 +555,7 @@ def _run_threshold(
     inconclusive = False
     for order in range(1, cap + 1):
         problem = AvoidanceProblem(order, k, forbidden, rainbow)
-        out = exists_avoiding(
-            problem, budget=budget, threads=threads, limit_overrides=limit_overrides
-        )
+        out = exists_avoiding(problem, budget=budget, limit_overrides=limit_overrides)
         stats.absorb(out.stats)
         if out.status == FOUND:
             last_found = out.coloring
@@ -607,7 +585,6 @@ def search_ramsey(
     n: int,
     n_max: int | None = None,
     budget: int | None = None,
-    threads: int = 1,
     seed: int = 0,
     limit_overrides: dict[int, int] | None = None,
 ) -> SearchReport:
@@ -619,7 +596,7 @@ def search_ramsey(
         construction, _ = build_ramsey_cycle_lower(m, n)
     params = {"m": m, "n": n, "n_max": n_max, "seed": seed}
     report = _run_threshold(
-        "Ramsey", params, 2, (m, n), False, n_max, budget, threads, seed,
+        "Ramsey", params, 2, (m, n), False, n_max, budget, seed,
         limit_overrides, construction,
     )
     formula = ramsey_formula(m, n)
@@ -635,7 +612,6 @@ def search_gallai_ramsey(
     k: int,
     n_max: int | None = None,
     budget: int | None = None,
-    threads: int = 1,
     seed: int = 0,
     limit_overrides: dict[int, int] | None = None,
 ) -> SearchReport:
@@ -657,7 +633,7 @@ def search_gallai_ramsey(
             construction, _ = build_extremal_odd(ell, k)
     params = {"m": m, "k": k, "n_max": n_max, "seed": seed}
     report = _run_threshold(
-        "GallaiRamsey", params, k, (m,) * k, k >= 3, n_max, budget, threads, seed,
+        "GallaiRamsey", params, k, (m,) * k, k >= 3, n_max, budget, seed,
         limit_overrides, construction,
     )
     formula = gallai_ramsey_formula(m, k)

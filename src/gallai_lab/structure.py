@@ -17,9 +17,10 @@ from .coloring import (
     BitGraph,
     ColoredCompleteGraph,
     VertexSubset,
-    bits,
+    closure,
     induced,
     relabel,
+    row_union,
     substitute,
 )
 from .detectors import (
@@ -127,26 +128,6 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
 # -- computing a partition -----------------------------------------------------
 
 
-def _components(mask_rows: Sequence[int], n: int) -> list[int]:
-    """Connected components (as bitmasks) of the graph with the given rows."""
-    out = []
-    left = (1 << n) - 1
-    while left:
-        seed = left & -left
-        comp = seed
-        frontier = seed
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= mask_rows[v]
-            nxt &= left & ~comp
-            comp |= nxt
-            frontier = nxt
-        out.append(comp)
-        left &= ~comp
-    return out
-
-
 def _candidate_blocks(g: ColoredCompleteGraph, cand: tuple[int, ...]) -> list[int] | None:
     """Blocks for one candidate between-color set, or None if they collapse."""
     n = g.n
@@ -157,17 +138,18 @@ def _candidate_blocks(g: ColoredCompleteGraph, cand: tuple[int, ...]) -> list[in
         rows = g.class_masks(c)
         for v in range(n):
             other[v] |= rows[v]
-    blocks = _components(other, n)
+    blocks = []
+    left = (1 << n) - 1
+    while left:
+        comp = closure(other, left & -left, left)
+        blocks.append(comp)
+        left &= ~comp
     # merge any two blocks joined in more than one candidate color
     while len(blocks) > 1:
-        unions = {c: [0] * len(blocks) for c in cand}
+        unions = {}
         for c in cand:
             rows = g.class_masks(c)
-            for i, bm in enumerate(blocks):
-                acc = 0
-                for v in bits(bm):
-                    acc |= rows[v]
-                unions[c][i] = acc
+            unions[c] = [row_union(rows, bm) for bm in blocks]
         parent = list(range(len(blocks)))
 
         def find(x: int) -> int:

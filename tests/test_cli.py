@@ -275,6 +275,19 @@ def test_search_limit_flag_and_env(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["value"] == 11
 
 
+def test_search_budget_covering_the_exhaustion_gives_the_value(capsys):
+    # the exhausting order n=6 takes 15 nodes over both first-edge branches
+    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "15")
+    assert code == 0
+    assert json.loads(out)["value"] == 6
+    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "14")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["lower"]) == (None, 6)
+    code, _ = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "0")
+    assert code == 2
+
+
 def test_search_stdout_has_null_witness_file(capsys):
     code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3")
     assert code == 0

@@ -98,13 +98,6 @@ def test_colors_used_skips_empty_classes():
     assert g.colors_used() == (2, 4)
 
 
-def test_with_palette_widens_but_never_truncates():
-    g = ColoredCompleteGraph(3, 2, [1, 2, 1])
-    assert g.with_palette(5).k == 5
-    with pytest.raises(ValueError):
-        g.with_palette(1)
-
-
 def test_induced_preserves_relative_order():
     rng = random.Random(2)
     g = random_coloring(rng, 12, 3)
@@ -232,9 +225,11 @@ def test_vertex_subset():
         VertexSubset.of(4, [9])
 
 
-def test_color_class_view_carries_parent_and_color():
+def test_color_class_is_the_class_bitgraph():
     g = ColoredCompleteGraph(4, 2, [1, 2, 2, 1, 2, 1])
-    view = g.color_class(2)
-    assert view.color == 2
-    assert view.parent is g
-    assert view.has_edge(0, 2) and not view.has_edge(0, 1)
+    h = g.color_class(2)
+    assert type(h) is BitGraph
+    assert h.masks == g.class_masks(2)
+    assert h.has_edge(0, 2) and not h.has_edge(0, 1)
+    with pytest.raises(ValueError):
+        g.color_class(3)

@@ -12,7 +12,6 @@ from gallai_lab.constructions import (
     build_extremal_odd,
     build_ramsey_cycle_lower,
     check_recipe,
-    even_cycle_bounds,
     gallai_ramsey_formula,
     ramsey_formula,
     random_gallai,
@@ -195,10 +194,3 @@ def test_ramsey_formula_exceptions_and_range():
     assert ramsey_formula(3, 6) == 11    # odd first cycle is fine down to 3
     assert ramsey_formula(2, 5) is None
     assert ramsey_formula(4, 3) is None
-
-
-def test_even_cycle_bounds():
-    lo, hi = even_cycle_bounds(6, 3)
-    assert lo == (6 - 1) * 3 + 6 + 1
-    assert hi == (6 - 1) * 3 + 3 * 6
-    assert even_cycle_bounds(4, 1) == (8, 15)

@@ -232,8 +232,9 @@ def test_erdos_gallai_without_guarantee_still_honest():
 
 def test_erdos_gallai_inherits_view_color():
     g = complete_monochromatic(5, 2, 2)
-    w = erdos_gallai_path(g.color_class(2), 3)
+    w = erdos_gallai_path(g.color_class(2), 3, 2)
     assert w is not None and w.color == 2 and w.kind == MONO_PATH
+    assert erdos_gallai_path(g.color_class(2), 3).color is None
 
 
 # -- two-color path split ----------------------------------------------------------

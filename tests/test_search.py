@@ -217,11 +217,38 @@ def test_budget_exceeded_is_reported_not_mistaken_for_exhaustion():
     assert out.stats.nodes <= 3
 
 
-def test_budget_split_keeps_thread_counts_identical():
+def test_budget_is_one_cap_shared_by_the_branches():
+    # R(C3,C3) at n=6 exhausts in 15 nodes over both first-edge branches
+    p = AvoidanceProblem.uniform(6, 2, 3)
+    out = exists_avoiding(p, budget=15)
+    assert (out.status, out.stats.nodes) == (EXHAUSTED, 15)
+    out = exists_avoiding(p, budget=14)
+    assert (out.status, out.stats.nodes) == (BUDGET_EXCEEDED, 14)
+    problems = [
+        AvoidanceProblem.uniform(5, 2, 3),
+        AvoidanceProblem(9, 2, (5, 5)),
+        AvoidanceProblem.uniform(5, 3, 3, rainbow=True),
+        AvoidanceProblem.uniform(6, 3, 4, rainbow=True),
+    ]
+    for p in problems:
+        full = exists_avoiding(p)
+        exact = exists_avoiding(p, budget=full.stats.nodes)
+        assert (exact.status, exact.coloring, exact.stats.nodes) == (
+            full.status,
+            full.coloring,
+            full.stats.nodes,
+        )
+        short = exists_avoiding(p, budget=full.stats.nodes - 1)
+        assert (short.status, short.stats.nodes) == (BUDGET_EXCEEDED, full.stats.nodes - 1)
+    with pytest.raises(BadParameters):
+        exists_avoiding(AvoidanceProblem.uniform(1, 2, 3), budget=0)
+
+
+def test_budgeted_search_is_deterministic():
     p = AvoidanceProblem.uniform(6, 2, 3)
     for budget in (3, 10, 50, None):
-        a = exists_avoiding(p, budget=budget, threads=1)
-        b = exists_avoiding(p, budget=budget, threads=2)
+        a = exists_avoiding(p, budget=budget)
+        b = exists_avoiding(p, budget=budget)
         assert a.status == b.status
         assert a.coloring == b.coloring
         assert (a.stats.nodes, a.stats.canonical, a.stats.rejected) == (
@@ -321,12 +348,12 @@ def test_search_gallai_two_colors_matches_plain_ramsey():
     assert a.value == b.value == 9
 
 
-def test_search_reports_are_thread_count_invariant():
-    a = search_ramsey(4, 5, threads=1)
-    b = search_ramsey(4, 5, threads=2)
+def test_search_reports_are_run_to_run_identical():
+    a = search_ramsey(4, 5)
+    b = search_ramsey(4, 5)
     assert reports_equivalent(a, b)
-    c = search_gallai_ramsey(5, 3, n_max=7, threads=1)
-    d = search_gallai_ramsey(5, 3, n_max=7, threads=2)
+    c = search_gallai_ramsey(5, 3, n_max=7)
+    d = search_gallai_ramsey(5, 3, n_max=7)
     assert reports_equivalent(c, d)
 
 
