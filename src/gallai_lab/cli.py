@@ -201,13 +201,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise ValueError("search gallai needs --k")
     if args.family == "ramsey":
         report = search.search_ramsey(
-            args.m, args.n, n_max=args.n_max, budget=args.budget,
-            seed=args.seed, limit_overrides=overrides,
+            args.m, args.n, budget=args.budget, seed=args.seed, limit_overrides=overrides,
         )
     else:
         report = search.search_gallai_ramsey(
-            args.m, args.k, n_max=args.n_max, budget=args.budget,
-            seed=args.seed, limit_overrides=overrides,
+            args.m, args.k, budget=args.budget, seed=args.seed, limit_overrides=overrides,
         )
     wpath = _witness_path(args)
     if report.witness is not None and wpath is not None:
@@ -299,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--m", type=int, required=True, help="cycle order (color 1)")
     sch.add_argument("--n", type=int, help="cycle order for color 2 (ramsey)")
     sch.add_argument("--k", type=int, help="palette size (gallai)")
-    sch.add_argument("--n-max", type=int, help="largest order to try")
     sch.add_argument("--budget", type=int, help="node budget per order")
     sch.add_argument("--seed", type=int, default=0)
-    sch.add_argument("--limit", help="feasibility overrides like 2:10,3:8")
+    sch.add_argument("--limit",
+                     help="largest order per palette size, like 2:10,3:8 (raises or lowers the default)")
     sch.add_argument("--witness-file")
     sch.add_argument("-o", "--output")
     sch.set_defaults(func=_cmd_search)

@@ -21,8 +21,6 @@ MONO_CYCLE = "MonoCycle"
 MONO_PATH = "MonoPath"
 HAMILTON_CYCLE = "HamiltonCycle"
 
-WITNESS_KINDS = (RAINBOW_TRIANGLE, MONO_CYCLE, MONO_PATH, HAMILTON_CYCLE)
-
 
 @dataclass(frozen=True)
 class Witness:

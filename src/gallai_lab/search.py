@@ -5,13 +5,12 @@ all earlier vertices), pruning as soon as a forbidden structure appears.
 Each isomorphism class of partial colorings is expanded once, by one of two
 rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring is kept only when
 it is a min-image: no vertex relabeling gives a lexicographically smaller
-color word.  Above the cap each branch keeps a store of the classes it has
+color word.  Above the cap the search keeps a store of the classes it has
 seen.  A coloring's bucket in the store is the trace of its color-degree
 refinement, and it is new when no stored coloring in that bucket is
 isomorphic to it (individualization plus refinement, checked edge by edge).
-The search is split into one branch per color of the first edge, and the
-branches run one after another.  A node budget is one cap for the whole
-order: each branch may expand what the earlier branches left.
+One depth-first search covers an order, and a node budget caps the nodes
+it expands.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .constructions import (
     random_gallai,
 )
 from .detectors import (
+    RAINBOW_TRIANGLE,
     Witness,
     _exact_cycle_from,
     find_mono_cycle,
@@ -257,21 +257,20 @@ class _ClassStore:
         return True
 
 
-class _BranchRun:
-    """Enumeration restricted to one color of the edge {0,1}.
+class _Search:
+    """One depth-first search over the colorings of K_n that avoid the problem.
 
-    A canonical coloring's word starts with its minimal edge color, so the
-    branches partition all canonical colorings and never overlap.  ``budget``
-    caps the nodes this branch may expand, None for no cap.
+    ``budget`` caps the nodes expanded, None for no cap.  With ``collect``
+    every canonical coloring of order n is appended to it; without, the
+    search stops at the first one.
     """
 
-    def __init__(self, problem: AvoidanceProblem, first_color: int, budget: int | None,
+    def __init__(self, problem: AvoidanceProblem, budget: int | None = None,
                  collect: list[ColoredCompleteGraph] | None = None):
         self.p = problem
         n, k = problem.n, problem.k
         self.colors = [[0] * n for _ in range(n)]
         self.masks = [[0] * n for _ in range(k + 1)]
-        self.first = first_color
         self.budget = budget
         self.collect = collect
         self.nodes = 0
@@ -281,15 +280,13 @@ class _BranchRun:
         self.exceeded = False
         self.seen = _ClassStore()
 
-    def run(self) -> "_BranchRun":
-        c = self.first
-        self.colors[0][1] = self.colors[1][0] = c
-        self.masks[c][0] |= 2
-        self.masks[c][1] |= 1
+    def run(self) -> "_Search":
         try:
-            self._count_node()
-            self.canonical += 1
-            self._extend(2)
+            if self.p.n == 1:
+                # K_1 has no vertex to complete; it still counts as one node
+                self._count_node()
+                self.canonical += 1
+            self._extend(1)
         except _BudgetHit:
             self.exceeded = True
         return self
@@ -373,8 +370,9 @@ class _BranchRun:
             return
         if level <= CANONICAL_LEVEL_CAP:
             ok = _is_min_image(self.colors, level)
-        elif any(any(self.masks[c]) for c in range(1, self.first)):
-            # the class belongs to the branch of its minimal edge color
+        elif any(any(self.masks[c]) for c in range(1, self.colors[0][1])):
+            # a min-image prefix puts the minimal edge color on {0,1}; a class
+            # with a smaller color is kept under the edge {0,1} of that color
             ok = False
         else:
             ok = self.seen.add(self.colors, level)
@@ -385,6 +383,12 @@ class _BranchRun:
         self._extend(level)
 
 
+def _check_limit(problem: AvoidanceProblem, limit_overrides: dict[int, int] | None) -> None:
+    limit = feasibility_limit(problem.k, limit_overrides)
+    if problem.n > limit:
+        raise OverLimit(problem.n, problem.k, limit)
+
+
 def exists_avoiding(
     problem: AvoidanceProblem,
     budget: int | None = None,
@@ -393,50 +397,30 @@ def exists_avoiding(
     """Decide whether any coloring of K_n avoids everything the problem forbids.
 
     Returns found (with a coloring), exhausted, or budget_exceeded.  The
-    budget is a hard cap on expanded nodes, shared by the first-edge
-    branches in order: each branch gets what the earlier ones left.
+    budget is a hard cap on the nodes expanded at this order.
     """
     if budget is not None and budget < 1:
         raise BadParameters(f"node budget {budget} must be at least 1")
-    limit = feasibility_limit(problem.k, limit_overrides)
-    if problem.n > limit:
-        raise OverLimit(problem.n, problem.k, limit)
+    _check_limit(problem, limit_overrides)
     t0 = time.monotonic()
-    stats = SearchStats()
-    if problem.n == 1:
-        stats.nodes = stats.canonical = 1
-        stats.ms = int((time.monotonic() - t0) * 1000)
-        return SearchOutcome(FOUND, ColoredCompleteGraph(1, problem.k, []), stats)
-    status, found = EXHAUSTED, None
-    for c in range(1, problem.k + 1):
-        left = None if budget is None else budget - stats.nodes
-        r = _BranchRun(problem, c, left).run()
-        stats.nodes += r.nodes
-        stats.canonical += r.canonical
-        stats.rejected += r.rejected
-        if r.found is not None:
-            status, found = FOUND, r.found
-            break
-        if r.exceeded:
-            status = BUDGET_EXCEEDED
-            break
-    stats.ms = int((time.monotonic() - t0) * 1000)
-    return SearchOutcome(status, found, stats)
+    s = _Search(problem, budget).run()
+    if s.found is not None:
+        status = FOUND
+    elif s.exceeded:
+        status = BUDGET_EXCEEDED
+    else:
+        status = EXHAUSTED
+    ms = int((time.monotonic() - t0) * 1000)
+    return SearchOutcome(status, s.found, SearchStats(s.nodes, s.canonical, s.rejected, ms))
 
 
 def enumerate_avoiding(
     problem: AvoidanceProblem, limit_overrides: dict[int, int] | None = None
 ) -> list[ColoredCompleteGraph]:
     """All canonical colorings avoiding the forbidden structures (test scale)."""
-    limit = feasibility_limit(problem.k, limit_overrides)
-    if problem.n > limit:
-        raise OverLimit(problem.n, problem.k, limit)
-    if problem.n == 1:
-        return [ColoredCompleteGraph(1, problem.k, [])]
+    _check_limit(problem, limit_overrides)
     out: list[ColoredCompleteGraph] = []
-    for c in range(1, problem.k + 1):
-        run = _BranchRun(problem, c, None, collect=out)
-        run.run()
+    _Search(problem, collect=out).run()
     return out
 
 
@@ -496,13 +480,27 @@ def reports_equivalent(a: SearchReport, b: SearchReport) -> bool:
     )
 
 
-def _sweep_clean(g: ColoredCompleteGraph, forbidden: Sequence[int], rainbow: bool) -> bool:
-    if rainbow and find_rainbow_triangle(g) is not None:
-        return False
+def _family_problem(family: str, params: dict) -> tuple[int, tuple[int, ...], bool]:
+    """A report family's palette, forbidden cycle order per color, and rainbow rule."""
+    if family == "Ramsey":
+        return 2, (params["m"], params["n"]), False
+    if family == "GallaiRamsey":
+        k = params["k"]
+        return k, (params["m"],) * k, k >= 3
+    raise BadParameters(f"unknown family {family!r}")
+
+
+def _violation(g: ColoredCompleteGraph, forbidden: Sequence[int], rainbow: bool) -> Witness | None:
+    """The first forbidden structure in g: a rainbow triangle, then a cycle color by color."""
+    if rainbow:
+        w = find_rainbow_triangle(g)
+        if w is not None:
+            return w
     for c in range(1, g.k + 1):
-        if find_mono_cycle(g, c, forbidden[c - 1]) is not None:
-            return False
-    return True
+        w = find_mono_cycle(g, c, forbidden[c - 1])
+        if w is not None:
+            return w
+    return None
 
 
 def _probe_random_lower(
@@ -525,7 +523,7 @@ def _probe_random_lower(
             else:
                 flat = [rng.randint(1, k) for _ in range(order * (order - 1) // 2)]
                 g = ColoredCompleteGraph(order, k, flat)
-            if _sweep_clean(g, forbidden, rainbow):
+            if _violation(g, forbidden, rainbow) is None:
                 hit = g
                 break
         if hit is None:
@@ -538,42 +536,45 @@ def _probe_random_lower(
 def _run_threshold(
     family: str,
     params: dict,
-    k: int,
-    forbidden: tuple[int, ...],
-    rainbow: bool,
-    n_max: int | None,
+    name: str,
+    formula: int | None,
     budget: int | None,
     seed: int,
     limit_overrides: dict[int, int] | None,
     construction: ColoredCompleteGraph | None,
 ) -> SearchReport:
-    limit = feasibility_limit(k, limit_overrides)
-    cap = limit if n_max is None else min(n_max, limit)
+    """Search upward from the construction's order to the first order with no avoider.
+
+    Induced colorings of an avoiding coloring still avoid, so a clean
+    construction settles every order up to its own.  An exact value is
+    checked against the closed form ``formula`` (None where none is known).
+    """
+    k, forbidden, rainbow = _family_problem(family, params)
+    witness, start = construction, 1
+    if construction is not None:
+        w = _violation(construction, forbidden, rainbow)
+        if w is not None:
+            raise AssertionError(f"the {construction.n}-vertex construction contains a {w.kind}")
+        start = construction.n + 1
     stats = SearchStats()
-    last_found: ColoredCompleteGraph | None = None
-    value: int | None = None
-    inconclusive = False
-    for order in range(1, cap + 1):
+    for order in range(start, feasibility_limit(k, limit_overrides) + 1):
         problem = AvoidanceProblem(order, k, forbidden, rainbow)
         out = exists_avoiding(problem, budget=budget, limit_overrides=limit_overrides)
         stats.absorb(out.stats)
-        if out.status == FOUND:
-            last_found = out.coloring
-            continue
         if out.status == EXHAUSTED:
-            value = order
+            if formula is not None and order != formula:
+                raise AssertionError(
+                    f"search value {order} contradicts the closed form {formula} for {name}"
+                )
+            return SearchReport(family, params, order, order, order, witness, stats)
+        if out.status == BUDGET_EXCEEDED:
             break
-        inconclusive = True
-        break
-    if value is not None:
-        return SearchReport(family, params, value, value, value, last_found, stats)
-    # partial: keep the largest verified witness we can get our hands on
-    witness = last_found
-    if construction is not None and (witness is None or construction.n > witness.n):
-        witness = construction
-    if not inconclusive:
-        probe_from = (witness.n if witness is not None else 0) + 1
-        probed = _probe_random_lower(k, forbidden, rainbow, probe_from, seed)
+        witness = out.coloring
+    else:
+        # every order up to the limit has an avoider: push the witness further
+        probed = _probe_random_lower(
+            k, forbidden, rainbow, (witness.n if witness is not None else 0) + 1, seed
+        )
         if probed is not None:
             witness = probed
     lower = (witness.n if witness is not None else 0) + 1
@@ -583,7 +584,6 @@ def _run_threshold(
 def search_ramsey(
     m: int,
     n: int,
-    n_max: int | None = None,
     budget: int | None = None,
     seed: int = 0,
     limit_overrides: dict[int, int] | None = None,
@@ -594,23 +594,15 @@ def search_ramsey(
     construction = None
     if m % 2 == 1 and 5 <= m <= n and 2 * n - 2 <= 64:
         construction, _ = build_ramsey_cycle_lower(m, n)
-    params = {"m": m, "n": n, "n_max": n_max, "seed": seed}
-    report = _run_threshold(
-        "Ramsey", params, 2, (m, n), False, n_max, budget, seed,
-        limit_overrides, construction,
+    return _run_threshold(
+        "Ramsey", {"m": m, "n": n, "seed": seed}, f"R(C_{m}, C_{n})", ramsey_formula(m, n),
+        budget, seed, limit_overrides, construction,
     )
-    formula = ramsey_formula(m, n)
-    if report.value is not None and formula is not None and report.value != formula:
-        raise AssertionError(
-            f"search value {report.value} contradicts the closed form {formula} for R(C_{m}, C_{n})"
-        )
-    return report
 
 
 def search_gallai_ramsey(
     m: int,
     k: int,
-    n_max: int | None = None,
     budget: int | None = None,
     seed: int = 0,
     limit_overrides: dict[int, int] | None = None,
@@ -631,18 +623,10 @@ def search_gallai_ramsey(
         ell = (m - 1) // 2
         if ell * 2**k <= 64:
             construction, _ = build_extremal_odd(ell, k)
-    params = {"m": m, "k": k, "n_max": n_max, "seed": seed}
-    report = _run_threshold(
-        "GallaiRamsey", params, k, (m,) * k, k >= 3, n_max, budget, seed,
-        limit_overrides, construction,
+    return _run_threshold(
+        "GallaiRamsey", {"m": m, "k": k, "seed": seed}, f"gr_{k}(K_3 : C_{m})",
+        gallai_ramsey_formula(m, k), budget, seed, limit_overrides, construction,
     )
-    formula = gallai_ramsey_formula(m, k)
-    if report.value is not None and formula is not None and report.value != formula:
-        raise AssertionError(
-            f"search value {report.value} contradicts the closed form {formula}"
-            f" for gr_{k}(K_3 : C_{m})"
-        )
-    return report
 
 
 # -- certificates ---------------------------------------------------------------
@@ -661,16 +645,10 @@ def verify_certificate(report: SearchReport) -> CertificateCheck:
     Never re-runs the exhaustion; an exact value is taken on faith from the
     search and only the claims a witness can certify are recomputed.
     """
-    if report.family == "Ramsey":
-        k = 2
-        forbidden = (report.params["m"], report.params["n"])
-        rainbow = False
-    elif report.family == "GallaiRamsey":
-        k = report.params["k"]
-        forbidden = (report.params["m"],) * k
-        rainbow = k >= 3
-    else:
-        return CertificateCheck(False, f"unknown family {report.family!r}")
+    try:
+        k, forbidden, rainbow = _family_problem(report.family, report.params)
+    except BadParameters as exc:
+        return CertificateCheck(False, str(exc))
     if report.value is not None:
         if report.lower != report.value or report.upper != report.value:
             return CertificateCheck(False, "exact value disagrees with its bounds")
@@ -686,14 +664,11 @@ def verify_certificate(report: SearchReport) -> CertificateCheck:
         return CertificateCheck(False, f"witness order {g.n}, expected {expected}")
     if g.k != k:
         return CertificateCheck(False, f"witness palette {g.k}, expected {k}")
-    if rainbow:
-        w = find_rainbow_triangle(g)
-        if w is not None:
-            return CertificateCheck(False, "witness contains a rainbow triangle", w)
-    for c in range(1, k + 1):
-        w = find_mono_cycle(g, c, forbidden[c - 1])
-        if w is not None:
-            return CertificateCheck(
-                False, f"witness contains a monochromatic C_{forbidden[c - 1]} in color {c}", w
-            )
-    return CertificateCheck(True)
+    w = _violation(g, forbidden, rainbow)
+    if w is None:
+        return CertificateCheck(True)
+    if w.kind == RAINBOW_TRIANGLE:
+        return CertificateCheck(False, "witness contains a rainbow triangle", w)
+    return CertificateCheck(
+        False, f"witness contains a monochromatic C_{forbidden[w.color - 1]} in color {w.color}", w
+    )

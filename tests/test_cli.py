@@ -242,7 +242,7 @@ def test_verify_catches_tampered_report(tmp_path, capsys):
 def test_search_gallai_partial_via_cli(tmp_path, capsys):
     report = tmp_path / "g.json"
     code, _ = run(capsys, "search", "gallai", "--m", "7", "--k", "3",
-                  "--n-max", "5", "-o", str(report))
+                  "--limit", "3:5", "-o", str(report))
     assert code == 0
     payload = json.loads(report.read_text())
     assert payload["value"] is None
@@ -276,7 +276,7 @@ def test_search_limit_flag_and_env(tmp_path, capsys, monkeypatch):
 
 
 def test_search_budget_covering_the_exhaustion_gives_the_value(capsys):
-    # the exhausting order n=6 takes 15 nodes over both first-edge branches
+    # the exhausting order n=6 takes 15 nodes
     code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "15")
     assert code == 0
     assert json.loads(out)["value"] == 6

@@ -63,8 +63,8 @@ def _matrix(g: ColoredCompleteGraph) -> list[list[int]]:
 
 def test_seen_set_regime_counts_like_min_image(monkeypatch):
     # forcing the class-store regime on tiny orders must not change what is kept:
-    # each isomorphism class still appears exactly once, in the branch of its
-    # minimal edge color
+    # each isomorphism class still appears exactly once, under the edge {0,1}
+    # of its minimal color
     import gallai_lab.search as search_mod
 
     monkeypatch.setattr(search_mod, "CANONICAL_LEVEL_CAP", 2)
@@ -76,7 +76,7 @@ def test_seen_set_regime_counts_like_min_image(monkeypatch):
         reps = enumerate_avoiding(AvoidanceProblem.uniform(n, k, n + 1))
         assert _orbit_sum(reps) == k ** (n * (n - 1) // 2)
         keys = {key_of(g) for g in reps}
-        assert len(keys) == len(reps), "isomorphic duplicates across branches"
+        assert len(keys) == len(reps), "isomorphic duplicates"
 
 
 def _shuffled(rng, g: ColoredCompleteGraph) -> ColoredCompleteGraph:
@@ -217,8 +217,8 @@ def test_budget_exceeded_is_reported_not_mistaken_for_exhaustion():
     assert out.stats.nodes <= 3
 
 
-def test_budget_is_one_cap_shared_by_the_branches():
-    # R(C3,C3) at n=6 exhausts in 15 nodes over both first-edge branches
+def test_budget_is_one_cap_per_order():
+    # R(C3,C3) at n=6 exhausts in 15 nodes
     p = AvoidanceProblem.uniform(6, 2, 3)
     out = exists_avoiding(p, budget=15)
     assert (out.status, out.stats.nodes) == (EXHAUSTED, 15)
@@ -242,6 +242,21 @@ def test_budget_is_one_cap_shared_by_the_branches():
         assert (short.status, short.stats.nodes) == (BUDGET_EXCEEDED, full.stats.nodes - 1)
     with pytest.raises(BadParameters):
         exists_avoiding(AvoidanceProblem.uniform(1, 2, 3), budget=0)
+
+
+def test_per_order_counts_in_both_canonicity_regimes():
+    # status and nodes/canonical/rejected pin the search itself: orders 9 and
+    # 10 reach above CANONICAL_LEVEL_CAP, the order-7 cases stay below it
+    cases = [
+        (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 3438, 63, 176)),
+        (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 3702, 64, 176)),
+        (AvoidanceProblem(7, 2, (4, 5)), None, (EXHAUSTED, 618, 26, 66)),
+        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 1677, 66, 189)),
+    ]
+    for p, limits, expected in cases:
+        out = exists_avoiding(p, limit_overrides=limits)
+        st = out.stats
+        assert (out.status, st.nodes, st.canonical, st.rejected) == expected, p
 
 
 def test_budgeted_search_is_deterministic():
@@ -307,6 +322,8 @@ def test_search_ramsey_small_exact_values():
 def test_search_thresholds_honor_raised_limits():
     rep = search_ramsey(5, 6, limit_overrides={2: 11})
     assert rep.value == 11 == ramsey_formula(5, 6)
+    # the 10-vertex construction settles orders 1..10; only n=11 is searched
+    assert rep.stats.nodes == 12186
     assert verify_certificate(rep).valid
     rep = search_gallai_ramsey(3, 3, limit_overrides={3: 11})
     assert rep.value == 11 == gallai_ramsey_formula(3, 3)
@@ -316,6 +333,8 @@ def test_search_thresholds_honor_raised_limits():
 def test_search_ramsey_c5_c7_exhausts_at_thirteen():
     rep = search_ramsey(5, 7, limit_overrides={2: 13})
     assert rep.value == 13 == ramsey_formula(5, 7)
+    # the 12-vertex construction settles orders 1..12; only n=13 is searched
+    assert rep.stats.nodes == 58906
     assert verify_certificate(rep).valid
 
 
@@ -327,8 +346,8 @@ def test_search_ramsey_partial_prefers_construction_witness():
     assert verify_certificate(rep).valid
 
 
-def test_search_ramsey_respects_n_max():
-    rep = search_ramsey(5, 5, n_max=6)
+def test_search_ramsey_respects_a_lowered_limit():
+    rep = search_ramsey(5, 5, limit_overrides={2: 6})
     assert rep.value is None
     # construction on 8 vertices plus a failed probe at 9 pins the bound
     assert rep.lower == 9
@@ -352,13 +371,15 @@ def test_search_reports_are_run_to_run_identical():
     a = search_ramsey(4, 5)
     b = search_ramsey(4, 5)
     assert reports_equivalent(a, b)
-    c = search_gallai_ramsey(5, 3, n_max=7)
-    d = search_gallai_ramsey(5, 3, n_max=7)
-    assert reports_equivalent(c, d)
+    # (5, 3) rests on its construction and expands no node; (3, 3) searches
+    for m in (5, 3):
+        c = search_gallai_ramsey(m, 3)
+        d = search_gallai_ramsey(m, 3)
+        assert reports_equivalent(c, d)
 
 
 def test_search_gallai_partial_uses_doubled_construction():
-    rep = search_gallai_ramsey(7, 3, n_max=6)
+    rep = search_gallai_ramsey(7, 3, limit_overrides={3: 6})
     assert rep.value is None
     assert rep.lower == 25  # 3 * 2^3 + 1
     assert rep.witness.n == 24
@@ -374,6 +395,16 @@ def test_formula_cross_check_trips_on_contradiction(monkeypatch):
     monkeypatch.setattr(search_mod, "gallai_ramsey_formula", lambda m, k: 99)
     with pytest.raises(AssertionError):
         search_mod.search_gallai_ramsey(5, 1)
+
+
+def test_dirty_construction_is_refused(monkeypatch):
+    import gallai_lab.search as search_mod
+
+    # K_8 in one color holds every cycle, so it cannot stand for orders 1..8
+    dirty = ColoredCompleteGraph(8, 2, [1] * 28)
+    monkeypatch.setattr(search_mod, "build_ramsey_cycle_lower", lambda m, n: (dirty, None))
+    with pytest.raises(AssertionError):
+        search_mod.search_ramsey(5, 5)
 
 
 # -- report serialization and verification ------------------------------------------------
@@ -417,6 +448,14 @@ def test_verify_certificate_rejects_tampering():
     alien = SearchReport.from_json_dict(rep.to_json_dict(), witness=rep.witness)
     alien.family = "Folkman"
     assert not verify_certificate(alien).valid
+
+
+def test_verify_accepts_reports_with_the_dropped_n_max_param():
+    # earlier versions wrote n_max into params; verify ignores it
+    rep = search_ramsey(4, 5)
+    d = rep.to_json_dict()
+    d["params"]["n_max"] = None
+    assert verify_certificate(SearchReport.from_json_dict(d, witness=rep.witness)).valid
 
 
 def test_verify_certificate_checks_partial_shape():
