@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--m", type=int, required=True, help="cycle order (color 1)")
     sch.add_argument("--n", type=int, help="cycle order for color 2 (ramsey)")
     sch.add_argument("--k", type=int, help="palette size (gallai)")
-    sch.add_argument("--budget", type=int, help="node budget per order")
+    sch.add_argument("--budget", type=int,
+                     help="node budget per order (a node is a cycle-free color vector)")
     sch.add_argument("--seed", type=int, default=0)
     sch.add_argument("--limit",
                      help="largest order per palette size, like 2:10,3:8 (raises or lowers the default)")

@@ -43,8 +43,10 @@ def bits(mask: int) -> Iterator[int]:
 def row_union(masks: Sequence[int], group: int) -> int:
     """Union of the adjacency rows of the vertices in ``group``."""
     out = 0
-    for v in bits(group):
-        out |= masks[v]
+    while group:
+        low = group & -group
+        out |= masks[low.bit_length() - 1]
+        group ^= low
     return out
 
 

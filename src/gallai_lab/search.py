@@ -1,16 +1,19 @@
 """Exhaustive search for colorings avoiding forbidden structures.
 
 Colorings are grown one vertex at a time (the new vertex's color vector to
-all earlier vertices), pruning as soon as a forbidden structure appears.
-Each isomorphism class of partial colorings is expanded once, by one of two
-rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring is kept only when
-it is a min-image: no vertex relabeling gives a lexicographically smaller
-color word.  Above the cap the search keeps a store of the classes it has
-seen.  A coloring's bucket in the store is the trace of its color-degree
-refinement, and it is new when no stored coloring in that bucket is
-isomorphic to it (individualization plus refinement, checked edge by edge).
-One depth-first search covers an order, and a node budget caps the nodes
-it expands.
+all earlier vertices).  Before an edge takes a color, the search looks for a
+rainbow triangle or a forbidden cycle through that edge among the edges
+already colored.  Every cycle through a vertex is caught at its last-colored
+edge there, so each completed vector is free of them; a node is one such
+cycle-free vector.  Each isomorphism class of partial colorings is expanded
+once, by one of two rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring
+is kept only when it is a min-image: no vertex relabeling gives a
+lexicographically smaller color word.  Above the cap the search keeps a store
+of the classes it has seen.  A coloring's bucket in the store is the trace of
+its color-degree refinement, and it is new when no stored coloring in that
+bucket is isomorphic to it (individualization plus refinement, checked edge
+by edge).  One depth-first search covers an order, and a node budget caps
+the nodes it expands.
 """
 
 from __future__ import annotations
@@ -340,8 +343,15 @@ class _Search:
                 return
 
     def _edge_ok(self, u: int, v: int, c: int) -> bool:
-        if self.p.forbidden[c - 1] == 3 and (self.masks[c][u] & self.masks[c][v]):
-            return False
+        m = self.p.forbidden[c - 1]
+        mc = self.masks[c]
+        if m == 3:
+            if mc[u] & mc[v]:
+                return False
+        elif mc[v] and m <= v + 1:
+            # a C_m through the new edge: v -> u, back through an earlier edge of v
+            if _exact_cycle_from(mc, v, m, (1 << v) - 1, u) is not None:
+                return False
         if self.p.rainbow_triangle_forbidden and self.p.k >= 3:
             cu = self.colors[u]
             cv = self.colors[v]
@@ -354,14 +364,6 @@ class _Search:
 
     def _complete_vertex(self, v: int) -> None:
         self._count_node()
-        universe = (1 << v) - 1
-        for c in range(1, self.p.k + 1):
-            m = self.p.forbidden[c - 1]
-            row = self.masks[c][v]
-            if row.bit_count() < 2 or m > v + 1:
-                continue
-            if _exact_cycle_from(self.masks[c], v, m, universe) is not None:
-                return
         level = v + 1
         if level == self.p.n and self.collect is None:
             # decision mode: any completion certifies "found", canonicity is moot

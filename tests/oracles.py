@@ -79,6 +79,23 @@ def hamilton_cycle_exists_bruteforce(masks: Sequence[int], n: int) -> bool:
     return False
 
 
+def cycle_through_edge_bruteforce(
+    masks: Sequence[int], a: int, b: int, m: int, allowed: Sequence[int]
+) -> bool:
+    """Is there a simple cycle a, b, x_3, ..., x_m on exactly m vertices?
+
+    The edge {a, b} counts as present whether or not ``masks`` has it; every
+    other edge must be in ``masks`` and every x_i in ``allowed``.  Tries each
+    ordered choice of the m - 2 remaining vertices.
+    """
+    rest = [x for x in allowed if x != a and x != b]
+    for tail in itertools.permutations(rest, m - 2):
+        walk = (b,) + tail + (a,)
+        if all((masks[walk[i]] >> walk[i + 1]) & 1 for i in range(m - 1)):
+            return True
+    return False
+
+
 # -- longest path feasibility (plain DFS) ------------------------------------------
 
 

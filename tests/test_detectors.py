@@ -8,6 +8,7 @@ import pytest
 
 from gallai_lab.coloring import BitGraph, ColoredCompleteGraph, complete_monochromatic
 from gallai_lab.detectors import (
+    _exact_cycle_from,
     HAMILTON_CYCLE,
     MONO_CYCLE,
     MONO_PATH,
@@ -27,6 +28,7 @@ from gallai_lab.errors import DegreePreconditionFailed, DiracPreconditionFailed
 
 from oracles import (
     cycle_exists_dp,
+    cycle_through_edge_bruteforce,
     path_exists_dfs,
     rainbow_triangles_bruteforce,
     random_bitgraph,
@@ -102,6 +104,48 @@ def test_mono_cycle_matches_subset_dp():
             assert validate_witness(g, w)
             checked += 1
     assert checked > 50
+
+
+def test_cycle_through_a_fixed_edge_matches_bruteforce():
+    # _exact_cycle_from with a fixed second vertex, against permutation brute
+    # force; the edge {a,b} may or may not be in the masks, and half the
+    # graphs are bipartite, where odd m never closes
+    rng = random.Random(21)
+    hits = misses = 0
+    for trial in range(400):
+        n = rng.randint(4, 8)
+        g = random_bitgraph(rng, n, rng.uniform(0.25, 0.8))
+        masks = list(g.masks)
+        if trial % 2:
+            side = [rng.random() < 0.5 for _ in range(n)]
+            masks = [
+                sum(1 << w for w in range(n) if (masks[v] >> w) & 1 and side[v] != side[w])
+                for v in range(n)
+            ]
+        a, b = rng.sample(range(n), 2)
+        if rng.random() < 0.5:
+            masks[a] |= 1 << b
+            masks[b] |= 1 << a
+        else:
+            masks[a] &= ~(1 << b)
+            masks[b] &= ~(1 << a)
+        # the search's layout: the anchor's universe is every vertex below it
+        # when b < a, else every vertex but the anchor
+        allowed = [x for x in range(a if b < a else n) if x != a]
+        universe = sum(1 << x for x in allowed)
+        m = rng.randint(4, len(allowed) + 1) if len(allowed) >= 3 else 4
+        found = _exact_cycle_from(masks, a, m, universe, b)
+        expect = cycle_through_edge_bruteforce(masks, a, b, m, allowed)
+        assert (found is not None) == expect, (masks, a, b, m)
+        if found is None:
+            misses += 1
+            continue
+        hits += 1
+        assert found[:2] == [a, b] and len(found) == m == len(set(found))
+        assert all((universe >> x) & 1 for x in found[1:])
+        assert all((masks[found[i]] >> found[i + 1]) & 1 for i in range(1, m - 1))
+        assert (masks[found[-1]] >> a) & 1
+    assert hits > 50 and misses > 50
 
 
 def test_mono_cycle_edge_cases():

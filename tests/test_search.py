@@ -248,15 +248,37 @@ def test_per_order_counts_in_both_canonicity_regimes():
     # status and nodes/canonical/rejected pin the search itself: orders 9 and
     # 10 reach above CANONICAL_LEVEL_CAP, the order-7 cases stay below it
     cases = [
-        (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 3438, 63, 176)),
-        (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 3702, 64, 176)),
-        (AvoidanceProblem(7, 2, (4, 5)), None, (EXHAUSTED, 618, 26, 66)),
-        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 1677, 66, 189)),
+        (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 239, 63, 176)),
+        (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 240, 64, 176)),
+        (AvoidanceProblem(7, 2, (4, 5)), None, (EXHAUSTED, 92, 26, 66)),
+        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 255, 66, 189)),
     ]
     for p, limits, expected in cases:
         out = exists_avoiding(p, limit_overrides=limits)
         st = out.stats
         assert (out.status, st.nodes, st.canonical, st.rejected) == expected, p
+
+
+def test_every_counted_node_is_canonical_or_rejected():
+    # cycles are pruned when an edge is colored, so every node the search
+    # counts is a cycle-free vector that the canonicity test keeps or rejects
+    problems = [
+        (AvoidanceProblem(9, 2, (5, 6)), None),
+        (AvoidanceProblem(11, 2, (5, 6)), {2: 11}),
+        (AvoidanceProblem(8, 2, (6, 6)), None),
+        (AvoidanceProblem(7, 2, (4, 5)), None),
+        (AvoidanceProblem.uniform(6, 2, 3), None),
+        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None),
+        (AvoidanceProblem.uniform(10, 3, 3, rainbow=True), {3: 10}),
+    ]
+    statuses = set()
+    for p, limits in problems:
+        for budget in (None, 1, 7, 60, 200):
+            out = exists_avoiding(p, budget=budget, limit_overrides=limits)
+            st = out.stats
+            assert st.nodes == st.canonical + st.rejected, (p, budget)
+            statuses.add(out.status)
+    assert statuses == {FOUND, EXHAUSTED, BUDGET_EXCEEDED}
 
 
 def test_budgeted_search_is_deterministic():
@@ -323,7 +345,7 @@ def test_search_thresholds_honor_raised_limits():
     rep = search_ramsey(5, 6, limit_overrides={2: 11})
     assert rep.value == 11 == ramsey_formula(5, 6)
     # the 10-vertex construction settles orders 1..10; only n=11 is searched
-    assert rep.stats.nodes == 12186
+    assert rep.stats.nodes == 622
     assert verify_certificate(rep).valid
     rep = search_gallai_ramsey(3, 3, limit_overrides={3: 11})
     assert rep.value == 11 == gallai_ramsey_formula(3, 3)
@@ -334,7 +356,7 @@ def test_search_ramsey_c5_c7_exhausts_at_thirteen():
     rep = search_ramsey(5, 7, limit_overrides={2: 13})
     assert rep.value == 13 == ramsey_formula(5, 7)
     # the 12-vertex construction settles orders 1..12; only n=13 is searched
-    assert rep.stats.nodes == 58906
+    assert rep.stats.nodes == 1702
     assert verify_certificate(rep).valid
 
 
