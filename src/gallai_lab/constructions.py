@@ -187,13 +187,17 @@ def gallai_ramsey_formula(m: int, k: int) -> int | None:
     """Closed-form gr_k(K_3 : C_m), or None where no closed form is known.
 
     m = 3 is the Chung-Graham value: 5^(k/2) + 1 for even k and
-    2 * 5^((k-1)/2) + 1 for odd k.  m = 2*ell + 1 with ell >= 3 is
-    ell * 2^k + 1 (Gallai-Ramsey numbers of odd cycles).
+    2 * 5^((k-1)/2) + 1 for odd k.  m = 2*ell + 1 with ell >= 2 is
+    ell * 2^k + 1 (Gallai-Ramsey numbers of odd cycles; ell = 2, the value
+    2^(k+1) + 1, is Fujita & Magnant 2011).  m = 4 with k >= 2 is k + 4
+    (Faudree, Gould, Jacobson & Magnant 2010).
     """
     if k < 1:
         return None
     if m == 3:
         return 5 ** (k // 2) + 1 if k % 2 == 0 else 2 * 5 ** ((k - 1) // 2) + 1
-    if m % 2 == 1 and m >= 7:
+    if m % 2 == 1 and m >= 5:
         return (m - 1) // 2 * 2**k + 1
+    if m == 4 and k >= 2:
+        return k + 4
     return None

@@ -58,27 +58,17 @@ def canonical_path(vs: Sequence[int]) -> tuple[int, ...]:
 # -- exact-length searches ---------------------------------------------------
 
 
-def _exact_cycle_from(
-    masks: Sequence[int], anchor: int, m: int, universe: int, second: int | None = None
-) -> list[int] | None:
+def _exact_cycle_from(masks: Sequence[int], anchor: int, m: int, universe: int) -> list[int] | None:
     """A cycle of exactly m vertices through ``anchor`` with the others in ``universe``.
 
     Depth-first over simple paths, pruned by an exact-steps reachability cut:
     from the current endpoint there must be a walk of the remaining length
     through unvisited vertices that lands on a neighbor of the anchor.  The
     cut respects parity, so bipartite classes die at the root for odd m.
-
-    With ``second`` (a vertex of ``universe``) the cycle's first step is
-    anchor -> second, whether or not that edge is in ``masks``; the cycle
-    closes through another neighbor of the anchor.  The search uses this to
-    test an edge before it is colored.
     """
     abit = 1 << anchor
     path = [anchor]
     state = {"visited": abit}
-    if second is not None:
-        path.append(second)
-        state["visited"] |= 1 << second
 
     def rec() -> bool:
         last = path[-1]

@@ -5,15 +5,24 @@ all earlier vertices).  Before an edge takes a color, the search looks for a
 rainbow triangle or a forbidden cycle through that edge among the edges
 already colored.  Every cycle through a vertex is caught at its last-colored
 edge there, so each completed vector is free of them; a node is one such
-cycle-free vector.  Each isomorphism class of partial colorings is expanded
-once, by one of two rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring
-is kept only when it is a min-image: no vertex relabeling gives a
-lexicographically smaller color word.  Above the cap the search keeps a store
-of the classes it has seen.  A coloring's bucket in the store is the trace of
-its color-degree refinement, and it is new when no stored coloring in that
-bucket is isomorphic to it (individualization plus refinement, checked edge
-by edge).  One depth-first search covers an order, and a node budget caps
-the nodes it expands.
+cycle-free vector.  The cycle test reads a path-end table: while vertex v's
+vector is assigned, vertices 0..v-1 keep their colors, so for each color the
+search keeps, per vertex u, the far ends of the simple paths from u with
+m - 2 edges among them.  Edge {u, v} closes a C_m exactly when u's row meets
+v's earlier neighbors in that color.  Rows are filled on demand, by a
+depth-first search that stops at the first end asked about, and remember
+both the ends found and the vertices ruled out, so no pair of vertices is
+settled twice at one prefix.
+
+Each isomorphism class of partial colorings is expanded once, by one of two
+rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring is kept only when
+it is a min-image: no vertex relabeling gives a lexicographically smaller
+color word.  Above the cap the search keeps a store of the classes it has
+seen.  A coloring's bucket in the store is the trace of its color-degree
+refinement, and it is new when no stored coloring in that bucket is
+isomorphic to it (individualization plus refinement, checked edge by edge).
+One depth-first search covers an order, and a node budget caps the nodes it
+expands.
 """
 
 from __future__ import annotations
@@ -24,7 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coloring import ColoredCompleteGraph
+from .coloring import ColoredCompleteGraph, bits, row_union
 from .constructions import (
     build_extremal_odd,
     build_ramsey_cycle_lower,
@@ -35,7 +44,6 @@ from .constructions import (
 from .detectors import (
     RAINBOW_TRIANGLE,
     Witness,
-    _exact_cycle_from,
     find_mono_cycle,
     find_rainbow_triangle,
 )
@@ -260,6 +268,91 @@ class _ClassStore:
         return True
 
 
+class _PathEnds:
+    """The path-end table of one color class inside ``universe``, filled on demand.
+
+    Row u is every w at the far end of a simple path from u with m - 2 edges
+    inside ``universe``, so an edge {u, x} with x outside closes a C_m exactly
+    when row u meets x's neighbors.  ``ends[u]`` holds the ends found so far
+    and ``ruled_out[u]`` the vertices shown not to be ends; the relation is
+    symmetric, so each finding is stored both ways.  For m = 3 the rows are
+    the adjacency rows themselves and nothing is left to find.
+    """
+
+    __slots__ = ("masks", "universe", "m", "ends", "ruled_out")
+
+    def __init__(self, masks: Sequence[int], universe: int, m: int):
+        self.masks = masks
+        self.universe = universe
+        self.m = m
+        if m == 3:
+            self.ends = masks
+            self.ruled_out = [-1] * len(masks)
+        else:
+            self.ends = [0] * len(masks)
+            self.ruled_out = [0] * len(masks)
+
+    def closes(self, u: int, targets: int) -> bool:
+        """Does row u meet ``targets``, a set of vertices in ``universe``?
+
+        Rows are only filled as far as questions need: a depth-first search
+        from u over simple paths, stopped at the first target it reaches.
+        """
+        ends = self.ends
+        if targets & ends[u]:
+            return True
+        targets &= ~self.ruled_out[u]
+        if not targets:
+            return False
+        masks, universe = self.masks, self.universe
+        bu = 1 << u
+
+        def grow(x: int, seen: int, left: int) -> bool:
+            avail = universe & ~seen
+            cand = masks[x] & avail
+            if left == 2:
+                # a neighbor's neighbor is never the neighbor itself
+                found = row_union(masks, cand) & avail
+                new = found & ~ends[u]
+                if new:
+                    ends[u] |= new
+                    for w in bits(new):
+                        ends[w] |= bu
+                return bool(found & targets)
+            if left > 3:
+                # exact-steps walk cut: a walk of the remaining length must end
+                # on a target (with three edges left it costs what it saves)
+                reach = cand
+                for _ in range(left - 1):
+                    reach = row_union(masks, reach) & avail
+                if not reach & targets:
+                    return False
+            for y in bits(cand):
+                if grow(y, seen | 1 << y, left - 1):
+                    return True
+            return False
+
+        if grow(u, bu, self.m - 2):
+            return True
+        self.ruled_out[u] |= targets
+        for w in bits(targets):
+            self.ruled_out[w] |= bu
+        return False
+
+
+def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int) -> list:
+    """Per color c (index 0 unused), the path-end table of the coloring on 0..v-1.
+
+    A color gets None when no C_m, m = forbidden[c - 1], fits on the v + 1
+    vertices 0..v.
+    """
+    prefix = (1 << v) - 1
+    return [None] + [
+        None if m > v + 1 else _PathEnds(masks[c], prefix, m)
+        for c, m in enumerate(forbidden, 1)
+    ]
+
+
 class _Search:
     """One depth-first search over the colorings of K_n that avoid the problem.
 
@@ -274,6 +367,7 @@ class _Search:
         n, k = problem.n, problem.k
         self.colors = [[0] * n for _ in range(n)]
         self.masks = [[0] * n for _ in range(k + 1)]
+        self.tables: list = [None] * n
         self.budget = budget
         self.collect = collect
         self.nodes = 0
@@ -317,6 +411,8 @@ class _Search:
             if self.collect is not None:
                 self.collect.append(g)
             return
+        # the coloring on 0..v-1 stays fixed while v's vector is assigned
+        self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v)
         self._assign(v, 0)
 
     def _assign(self, v: int, u: int) -> None:
@@ -343,14 +439,21 @@ class _Search:
                 return
 
     def _edge_ok(self, u: int, v: int, c: int) -> bool:
-        m = self.p.forbidden[c - 1]
-        mc = self.masks[c]
-        if m == 3:
-            if mc[u] & mc[v]:
+        """May edge {u, v} (u < v) take color c, given the edges colored so far?
+
+        It may not when it closes a C_m in color c (m = forbidden[c - 1]):
+        v -> u, a color-c path of m - 2 edges from u to some w < v, back to v.
+        Row u of the color's path-end table holds every such w, so the edge
+        closes one when that row meets v's color-c neighbors so far.  For
+        m = 3 the row is u's color-c neighbors: the triangle test.
+        """
+        table = self.tables[v][c]
+        if table is not None:
+            targets = self.masks[c][v]
+            # the rows answer most questions without a call
+            if targets & table.ends[u]:
                 return False
-        elif mc[v] and m <= v + 1:
-            # a C_m through the new edge: v -> u, back through an earlier edge of v
-            if _exact_cycle_from(mc, v, m, (1 << v) - 1, u) is not None:
+            if targets & ~table.ruled_out[u] and table.closes(u, targets):
                 return False
         if self.p.rainbow_triangle_forbidden and self.p.k >= 3:
             cu = self.colors[u]

@@ -176,13 +176,19 @@ def test_ramsey_formula_known_values():
 
 
 def test_gallai_ramsey_formula_values():
-    # Chung-Graham for triangles, ell * 2^k + 1 for C_{2 ell + 1} with ell >= 3
+    # Chung-Graham for triangles, ell * 2^k + 1 for C_{2 ell + 1} with ell >= 2,
+    # k + 4 for C_4 with k >= 2
     assert [gallai_ramsey_formula(3, k) for k in (1, 2, 3)] == [3, 6, 11]
+    assert [gallai_ramsey_formula(5, k) for k in (1, 2, 3, 4)] == [5, 9, 17, 33]
     assert [gallai_ramsey_formula(7, k) for k in (1, 2, 3)] == [7, 13, 25]
     assert [gallai_ramsey_formula(9, k) for k in (1, 2, 3)] == [9, 17, 33]
+    assert [gallai_ramsey_formula(4, k) for k in (2, 3, 4)] == [6, 7, 8]
+    assert gallai_ramsey_formula(4, 1) is None
     # agrees with the two-color cycle Ramsey value where both apply
     assert gallai_ramsey_formula(7, 2) == ramsey_formula(7, 7)
-    for m in (4, 5, 6, 8):
+    assert gallai_ramsey_formula(5, 2) == ramsey_formula(5, 5)
+    assert gallai_ramsey_formula(4, 2) == 6  # R(C_4, C_4), which ramsey_formula leaves out
+    for m in (6, 8):
         assert gallai_ramsey_formula(m, 2) is None
     assert gallai_ramsey_formula(7, 0) is None
 

@@ -8,7 +8,6 @@ import pytest
 
 from gallai_lab.coloring import BitGraph, ColoredCompleteGraph, complete_monochromatic
 from gallai_lab.detectors import (
-    _exact_cycle_from,
     HAMILTON_CYCLE,
     MONO_CYCLE,
     MONO_PATH,
@@ -25,6 +24,7 @@ from gallai_lab.detectors import (
     validate_witness,
 )
 from gallai_lab.errors import DegreePreconditionFailed, DiracPreconditionFailed
+from gallai_lab.search import _PathEnds, _path_end_tables
 
 from oracles import (
     cycle_exists_dp,
@@ -107,9 +107,10 @@ def test_mono_cycle_matches_subset_dp():
 
 
 def test_cycle_through_a_fixed_edge_matches_bruteforce():
-    # _exact_cycle_from with a fixed second vertex, against permutation brute
-    # force; the edge {a,b} may or may not be in the masks, and half the
-    # graphs are bipartite, where odd m never closes
+    # the path-end table against permutation brute force: with the anchor a
+    # outside the table's universe, the edge {a,b} closes a C_m exactly when
+    # row b meets a's neighbors; the edge may or may not be in the masks, and
+    # half the graphs are bipartite, where odd m never closes
     rng = random.Random(21)
     hits = misses = 0
     for trial in range(400):
@@ -134,18 +135,47 @@ def test_cycle_through_a_fixed_edge_matches_bruteforce():
         allowed = [x for x in range(a if b < a else n) if x != a]
         universe = sum(1 << x for x in allowed)
         m = rng.randint(4, len(allowed) + 1) if len(allowed) >= 3 else 4
-        found = _exact_cycle_from(masks, a, m, universe, b)
+        found = _PathEnds(masks, universe, m).closes(b, masks[a] & universe)
         expect = cycle_through_edge_bruteforce(masks, a, b, m, allowed)
-        assert (found is not None) == expect, (masks, a, b, m)
-        if found is None:
+        assert found == expect, (masks, a, b, m)
+        if found:
+            hits += 1
+        else:
             misses += 1
-            continue
-        hits += 1
-        assert found[:2] == [a, b] and len(found) == m == len(set(found))
-        assert all((universe >> x) & 1 for x in found[1:])
-        assert all((masks[found[i]] >> found[i + 1]) & 1 for i in range(1, m - 1))
-        assert (masks[found[-1]] >> a) & 1
     assert hits > 50 and misses > 50
+    # every (u, c) row of the search's tables for a random prefix 0..v-1; the
+    # oracle closes the path u ... w through a new vertex v joined to w alone.
+    # A question about a random target set comes first, then every single
+    # vertex in random order, so answers also come from the remembered rows
+    for _ in range(20):
+        v = rng.randint(3, 6)
+        k = rng.randint(1, 3)
+        g = random_coloring(rng, v, k)
+        forbidden = [rng.randint(3, v + 2) for _ in range(k)]
+        masks = [None] + [list(g.class_masks(c)) + [0] for c in range(1, k + 1)]
+        tables = _path_end_tables(masks, forbidden, v)
+        for c, m in enumerate(forbidden, 1):
+            table = tables[c]
+            if m > v + 1:
+                assert table is None
+                continue
+            rows = []
+            for u in range(v):
+                row = 0
+                for w in range(v):
+                    joined = masks[c][:v] + [1 << w]
+                    joined[w] |= 1 << v
+                    if cycle_through_edge_bruteforce(joined, v, u, m, range(v)):
+                        row |= 1 << w
+                rows.append(row)
+            for u in range(v):
+                some = rng.randrange(1 << v)
+                assert table.closes(u, some) == bool(rows[u] & some), (g.edge_colors(), c, u)
+            pairs = [(u, w) for u in range(v) for w in range(v)]
+            rng.shuffle(pairs)
+            for u, w in pairs:
+                assert table.closes(u, 1 << w) == bool(rows[u] >> w & 1), (g.edge_colors(), c, u, w)
+            assert table.ends[:v] == rows
 
 
 def test_mono_cycle_edge_cases():

@@ -360,6 +360,16 @@ def test_search_ramsey_c5_c7_exhausts_at_thirteen():
     assert verify_certificate(rep).valid
 
 
+def test_search_gallai_c7_two_colors_exhausts_at_thirteen():
+    # the paper's smallest instance: gr_2(K_3 : C_7) = 3 * 2^2 + 1
+    rep = search_gallai_ramsey(7, 2, limit_overrides={2: 13})
+    assert rep.value == 13 == rep.lower == rep.upper == gallai_ramsey_formula(7, 2)
+    # the 12-vertex doubled construction settles orders 1..12; only n=13 is searched
+    assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (7794, 949, 6845)
+    assert rep.witness.n == 12
+    assert verify_certificate(rep).valid
+
+
 def test_search_ramsey_partial_prefers_construction_witness():
     rep = search_ramsey(5, 7)  # true value 13, beyond the k=2 limit of 9
     assert rep.value is None and rep.upper is None
