@@ -17,10 +17,15 @@ settled twice at one prefix.
 Each isomorphism class of partial colorings is expanded once, by one of two
 rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring is kept only when
 it is a min-image: no vertex relabeling gives a lexicographically smaller
-color word.  Above the cap the search keeps a store of the classes it has
-seen.  A coloring's bucket in the store is the trace of its color-degree
-refinement, and it is new when no stored coloring in that bucket is
-isomorphic to it (individualization plus refinement, checked edge by edge).
+color word.  The test backtracks over relabelings and prunes with the
+automorphisms it finds, as search-tree canonical labeling does: a branch
+that reaches an automorphism jumps back to the identity path at once, and a
+vertex that is not the least of its orbit under the automorphisms found so
+far is not tried there.  Above the cap the search keeps a store of the
+classes it has seen.  A coloring's bucket in the store is the trace of its
+color-degree refinement, and it is new when no stored coloring in that
+bucket is isomorphic to it (individualization plus refinement, checked edge
+by edge).
 One depth-first search covers an order, and a node budget caps the nodes it
 expands.
 """
@@ -140,49 +145,93 @@ class _BudgetHit(Exception):
     pass
 
 
+_SMALLER, _AUTOMORPHISM, _NOTHING = range(3)
+
+
 def _is_min_image(colors: list[list[int]], ell: int) -> bool:
     """True when no vertex relabeling yields a smaller color word.
 
     The word reads the colors of (label i, label r) for r = 1..ell-1,
     i = 0..r-1; under the identity labeling entry (r, i) is colors[i][r].
-    Backtracks over images, pruning branches whose prefix is already larger.
-    """
-    img = [0] * ell
-    used = [False] * ell
+    A relabeling is built position by position, img[r] being the vertex that
+    takes label r, and a branch is dropped once its column r is larger than
+    the identity's.  Candidates are tried in increasing order, so the
+    identity is the first relabeling reached, and the search then backs up
+    the identity path, from its deepest node to its root.
 
-    def place(r: int) -> bool:
-        # False means a strictly smaller word was found
+    Below identity node r (img[i] = i for i < r) a branch img[r] = x != r is
+    searched only to its first relabeling that ties on every column.  That
+    relabeling is an automorphism fixing 0..r-1 and mapping r to x, so it
+    carries the identity's subtree, already searched, onto the rest of the
+    branch: the search jumps straight back to node r.  Each automorphism's
+    cycles are merged into one union-find of vertex orbits.  All of them were
+    found at node r or deeper, so they fix 0..r-1, and a candidate x that is
+    not the least vertex of its orbit is skipped: an automorphism fixing
+    0..r-1 maps the branch of that least vertex, already searched, onto x's.
+    Branches off the identity path are not pruned by orbits, since the
+    automorphisms found need not fix their prefix.
+    """
+    img = list(range(ell))
+    used = [True] * ell
+    orbit = list(range(ell))  # union-find; each root is the least vertex of its orbit
+
+    def root(x: int) -> int:
+        while orbit[x] != x:
+            x = orbit[x]
+        return x
+
+    def column(cand: int, r: int) -> int:
+        # compare column r with cand at label r against the identity's column
+        crow = colors[cand]
+        for i in range(r):
+            a = crow[img[i]]
+            b = colors[i][r]
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+
+    def branch(r: int) -> int:
+        # search below img[0..r-1], off the identity path
         for cand in range(ell):
             if used[cand]:
                 continue
-            crow = colors[cand]
-            verdict = 0
-            for i in range(r):
-                a = crow[img[i]]
-                b = colors[i][r]
-                if a != b:
-                    verdict = -1 if a < b else 1
-                    break
+            verdict = column(cand, r)
+            if verdict == 1:
+                continue
+            if verdict == -1:
+                return _SMALLER
+            img[r] = cand
+            if r + 1 == ell:
+                return _AUTOMORPHISM
+            used[cand] = True
+            found = branch(r + 1)
+            used[cand] = False
+            if found != _NOTHING:
+                return found
+        return _NOTHING
+
+    for r in range(ell - 1, -1, -1):
+        # identity node r: vertices 0..r-1 keep their labels, x = r is done
+        used[r] = False
+        for x in range(r + 1, ell):
+            if root(x) != x:
+                continue
+            verdict = column(x, r)
             if verdict == 1:
                 continue
             if verdict == -1:
                 return False
-            if r + 1 < ell:
-                used[cand] = True
-                img[r] = cand
-                deeper = place(r + 1)
-                used[cand] = False
-                if not deeper:
-                    return False
-        return True
-
-    for first in range(ell):
-        img[0] = first
-        used[first] = True
-        ok = place(1) if ell > 1 else True
-        used[first] = False
-        if not ok:
-            return False
+            img[r] = x
+            used[x] = True
+            found = branch(r + 1)
+            used[x] = False
+            if found == _SMALLER:
+                return False
+            if found == _AUTOMORPHISM:
+                for i in range(r, ell):
+                    a, b = root(i), root(img[i])
+                    if a != b:
+                        orbit[max(a, b)] = min(a, b)
     return True
 
 
@@ -340,15 +389,19 @@ class _PathEnds:
         return False
 
 
-def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int) -> list:
+def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int,
+                     triangles: list | None = None) -> list:
     """Per color c (index 0 unused), the path-end table of the coloring on 0..v-1.
 
     A color gets None when no C_m, m = forbidden[c - 1], fits on the v + 1
-    vertices 0..v.
+    vertices 0..v.  An m = 3 table does not depend on the prefix, its rows
+    being the live adjacency rows, so one given in ``triangles`` is reused.
     """
     prefix = (1 << v) - 1
     return [None] + [
-        None if m > v + 1 else _PathEnds(masks[c], prefix, m)
+        None if m > v + 1
+        else triangles[c] if triangles is not None and m == 3
+        else _PathEnds(masks[c], prefix, m)
         for c, m in enumerate(forbidden, 1)
     ]
 
@@ -368,6 +421,8 @@ class _Search:
         self.colors = [[0] * n for _ in range(n)]
         self.masks = [[0] * n for _ in range(k + 1)]
         self.tables: list = [None] * n
+        # at v = 2 only m = 3 fits: these are the m = 3 tables for every prefix
+        self.triangles = _path_end_tables(self.masks, problem.forbidden, 2)
         self.budget = budget
         self.collect = collect
         self.nodes = 0
@@ -412,7 +467,7 @@ class _Search:
                 self.collect.append(g)
             return
         # the coloring on 0..v-1 stays fixed while v's vector is assigned
-        self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v)
+        self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v, self.triangles)
         self._assign(v, 0)
 
     def _assign(self, v: int, u: int) -> None:

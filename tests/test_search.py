@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gallai_lab.coloring import ColoredCompleteGraph, build, relabel
+from gallai_lab.coloring import ColoredCompleteGraph, build, complete_monochromatic, relabel
 from gallai_lab.constructions import gallai_ramsey_formula, ramsey_formula
 from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import BadParameters, OverLimit
@@ -20,6 +20,7 @@ from gallai_lab.search import (
     SearchReport,
     SearchStats,
     _ClassStore,
+    _is_min_image,
     enumerate_avoiding,
     exists_avoiding,
     feasibility_limit,
@@ -85,8 +86,8 @@ def _shuffled(rng, g: ColoredCompleteGraph) -> ColoredCompleteGraph:
     return relabel(g, perm)
 
 
-def _circulant(n: int, color_of_distance: dict[int, int]) -> ColoredCompleteGraph:
-    return build(n, 2, {
+def _circulant(n: int, color_of_distance: dict[int, int], k: int = 2) -> ColoredCompleteGraph:
+    return build(n, k, {
         (u, v): color_of_distance[min(v - u, n - v + u)]
         for u in range(n) for v in range(u + 1, n)
     })
@@ -143,6 +144,66 @@ def test_class_store_agrees_with_oracle_key_on_symmetric_colorings():
         pool += [g] + [_shuffled(rng, g) for _ in range(3)]
     rng.shuffle(pool)
     _assert_store_agrees_with_oracle(pool)
+
+
+def _identity_word(mat: list[list[int]], n: int) -> tuple[int, ...]:
+    return tuple(mat[i][r] for r in range(n) for i in range(r))
+
+
+def _blocks(rng, n: int, k: int) -> ColoredCompleteGraph:
+    # the color of an edge depends only on the blocks of its ends, so every
+    # permutation inside a block is an automorphism
+    owner = sorted(rng.randrange(rng.randint(1, n)) for _ in range(n))
+    pair_color = {}
+    return build(n, k, {
+        (u, v): pair_color.setdefault((owner[u], owner[v]), rng.randint(1, k))
+        for u in range(n) for v in range(u + 1, n)
+    })
+
+
+def test_min_image_agrees_with_oracle_key():
+    # a coloring is a min-image exactly when its own word is the minimal one;
+    # random colorings are rarely min-images, so each pool also holds the
+    # coloring whose word is the oracle's minimum
+    rng = random.Random(77)
+    base = [complete_monochromatic(n, 1, 1) for n in range(1, 9)]
+    for n in range(2, 9):
+        for k in (2, 3):
+            base += [random_coloring(rng, n, k) for _ in range(4)]
+            base += [_blocks(rng, n, k) for _ in range(6)]
+            base += [
+                _circulant(n, {d: rng.randint(1, k) for d in range(1, n // 2 + 1)}, k)
+                for _ in range(3)
+            ]
+    verdicts = set()
+    for g in base:
+        # the minimal word is the same for every relabeling of g
+        key = canonical_key(_matrix(g), g.n)
+        minimal = ColoredCompleteGraph(g.n, g.k, list(key))
+        for h in (g, _shuffled(rng, g), minimal, _shuffled(rng, minimal)):
+            mat = _matrix(h)
+            expected = key == _identity_word(mat, h.n)
+            assert _is_min_image(mat, h.n) == expected, h.edge_colors()
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+class _CountingRow(list):
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingRow.reads += 1
+        return list.__getitem__(self, i)
+
+
+def test_min_image_prunes_by_the_automorphisms_it_finds():
+    # in one color every relabeling of K_n ties, so without pruning the test
+    # walks all n! of them; with it the color reads stay below n^3
+    for n in (8, 12, 16):
+        mat = _matrix(complete_monochromatic(n, 1, 1))
+        _CountingRow.reads = 0
+        assert _is_min_image([_CountingRow(row) for row in mat], n)
+        assert _CountingRow.reads < n**3, (n, _CountingRow.reads)
 
 
 def test_enumeration_matches_bruteforce_filter_with_rainbow():
@@ -257,6 +318,34 @@ def test_per_order_counts_in_both_canonicity_regimes():
         out = exists_avoiding(p, limit_overrides=limits)
         st = out.stats
         assert (out.status, st.nodes, st.canonical, st.rejected) == expected, p
+
+
+def _orders_until_exhausted(k, forbidden, rainbow, limits):
+    rows = []
+    for n in itertools.count(1):
+        out = exists_avoiding(AvoidanceProblem(n, k, forbidden, rainbow), limit_overrides=limits)
+        st = out.stats
+        rows.append((out.status, st.nodes, st.canonical, st.rejected))
+        if out.status != FOUND:
+            return rows
+
+
+def test_per_order_counts_of_the_benchmark_searches():
+    # status and nodes/canonical/rejected at every order, grown from n = 1 as
+    # the benchmark's threshold workloads grow them
+    small = [(FOUND, 1, 1, 0), (FOUND, 1, 1, 0), (FOUND, 2, 2, 0), (FOUND, 3, 3, 0),
+             (FOUND, 4, 4, 0), (FOUND, 5, 5, 0)]
+    assert _orders_until_exhausted(2, (5, 6), False, {2: 11}) == small + [
+        (FOUND, 29, 16, 13), (FOUND, 238, 62, 176), (FOUND, 239, 63, 176),
+        (FOUND, 240, 64, 176), (EXHAUSTED, 622, 114, 508),
+    ]
+    assert _orders_until_exhausted(2, (6, 6), False, None) == small + [
+        (FOUND, 6, 6, 0), (EXHAUSTED, 1020, 165, 855),
+    ]
+    assert _orders_until_exhausted(3, (3, 3, 3), True, {3: 11}) == small + [
+        (FOUND, 6, 6, 0), (FOUND, 7, 7, 0), (FOUND, 9, 9, 0), (FOUND, 20, 16, 4),
+        (EXHAUSTED, 699, 189, 510),
+    ]
 
 
 def test_every_counted_node_is_canonical_or_rejected():
