@@ -26,6 +26,21 @@ classes it has seen.  A coloring's bucket in the store is the trace of its
 color-degree refinement, and it is new when no stored coloring in that
 bucket is isomorphic to it (individualization plus refinement, checked edge
 by edge).
+
+Most vectors that are not min-images are cut while they are assigned, as
+in orderly generation (Read 1978; McKay 1998).  Column v of the word is
+vertex v's vector, read in the order it is assigned, so two bounds cost one
+comparison per edge.  While v's vector ties with v-1's on the edges so far,
+edge {u, v} takes no color below that of {u, v-1}: swapping labels v-1 and
+v would give a smaller word.  And no edge takes a color below that of
+{0, 1}, which could otherwise be relabeled onto {0, 1}.  Both hold above the
+cap too.  Colors are tried in increasing order, so the search visits each
+level in word order, and the first member of a class the store sees is the
+class's min-image: both rules keep the same representatives.  The decision
+level (the last vertex, when no list is collected) is left unbounded: no
+level lies below it, and the first completion found there is the one found
+without bounds.
+
 One depth-first search covers an order, and a node budget caps the nodes it
 expands.
 """
@@ -468,9 +483,27 @@ class _Search:
             return
         # the coloring on 0..v-1 stays fixed while v's vector is assigned
         self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v, self.triangles)
-        self._assign(v, 0)
+        if v >= 2 and (v + 1 < self.p.n or self.collect is not None):
+            self._assign(v, 0, self.colors[0][1], True)
+        else:
+            # edge {0,1} sets the floor; at the decision level any vector will do
+            self._assign(v, 0, 1, False)
 
-    def _assign(self, v: int, u: int) -> None:
+    def _assign(self, v: int, u: int, floor: int, tie: bool) -> None:
+        """Try each color on edge {u, v}, then go on to u + 1.
+
+        Colors below ``floor`` (colors[0][1]) are skipped, and while ``tie``
+        holds (v's row on 0..u-1 equals row v-1's) so is any color below
+        colors[v-1][u].  Both bounds only drop vectors that are not
+        min-images: swapping labels v-1 and v would turn a smaller row v
+        into a smaller column v-1, and an edge colored below colors[0][1]
+        could be relabeled onto {0,1}.  The parent's rows are already in
+        order, so row v-1 is the only row to compare with.  Above
+        ``CANONICAL_LEVEL_CAP`` the store keeps the first member of each
+        class it sees, which in word order is the min-image, so the bounds
+        hold there too.  At the decision level ``_extend`` passes floor 1
+        and no tie: no level lies below it to save.
+        """
         if self._done():
             return
         if u == v:
@@ -480,13 +513,14 @@ class _Search:
         masks = self.masks
         bu = 1 << u
         bv = 1 << v
-        for c in range(1, self.p.k + 1):
+        above = colors[v - 1][u] if tie else 0
+        for c in range(max(floor, above), self.p.k + 1):
             if not self._edge_ok(u, v, c):
                 continue
             colors[u][v] = colors[v][u] = c
             masks[c][u] |= bv
             masks[c][v] |= bu
-            self._assign(v, u + 1)
+            self._assign(v, u + 1, floor, c == above)
             masks[c][u] ^= bv
             masks[c][v] ^= bu
             colors[u][v] = colors[v][u] = 0
@@ -530,10 +564,6 @@ class _Search:
             return
         if level <= CANONICAL_LEVEL_CAP:
             ok = _is_min_image(self.colors, level)
-        elif any(any(self.masks[c]) for c in range(1, self.colors[0][1])):
-            # a min-image prefix puts the minimal edge color on {0,1}; a class
-            # with a smaller color is kept under the edge {0,1} of that color
-            ok = False
         else:
             ok = self.seen.add(self.colors, level)
         if not ok:

@@ -64,8 +64,8 @@ def _matrix(g: ColoredCompleteGraph) -> list[list[int]]:
 
 def test_seen_set_regime_counts_like_min_image(monkeypatch):
     # forcing the class-store regime on tiny orders must not change what is kept:
-    # each isomorphism class still appears exactly once, under the edge {0,1}
-    # of its minimal color
+    # each isomorphism class still appears exactly once, and the color floor
+    # keeps it under the edge {0,1} of its minimal color
     import gallai_lab.search as search_mod
 
     monkeypatch.setattr(search_mod, "CANONICAL_LEVEL_CAP", 2)
@@ -78,6 +78,47 @@ def test_seen_set_regime_counts_like_min_image(monkeypatch):
         assert _orbit_sum(reps) == k ** (n * (n - 1) // 2)
         keys = {key_of(g) for g in reps}
         assert len(keys) == len(reps), "isomorphic duplicates"
+
+
+def test_class_counts_of_unconstrained_two_colorings():
+    # a forbidden length above n constrains nothing: the classes are the
+    # graphs on n vertices, OEIS A000088
+    counts = [
+        len(enumerate_avoiding(AvoidanceProblem.uniform(n, 2, max(3, n + 1))))
+        for n in range(1, 8)
+    ]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044]
+
+
+def test_class_counts_of_rainbow_free_c5_three_colorings():
+    # the level counts of the gr_3(K_3 : C_5) = 17 exhaustion, up to relabeling
+    counts = [
+        len(enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True), {3: 8}))
+        for n in range(2, 9)
+    ]
+    assert counts == [3, 9, 39, 132, 405, 891, 1497]
+
+
+def test_class_store_keeps_exactly_the_min_images(monkeypatch):
+    # the search visits each level in word order, so the first member of a
+    # class the store sees is its min-image: above the cap the store must
+    # keep exactly the colorings the min-image test would keep
+    add = _ClassStore.add
+    calls = []
+
+    def checked_add(self, colors, ell):
+        kept = add(self, colors, ell)
+        assert kept == _is_min_image(colors, ell), [row[:ell] for row in colors[:ell]]
+        calls.append((ell, kept))
+        return kept
+
+    monkeypatch.setattr(_ClassStore, "add", checked_add)
+    for n in range(9, 12):
+        exists_avoiding(AvoidanceProblem(n, 2, (5, 6)), limit_overrides={2: 11})
+    for n in range(9, 13):
+        exists_avoiding(AvoidanceProblem(n, 2, (7, 7)), limit_overrides={2: 12})
+    assert {ell for ell, _ in calls} == {9, 10, 11}
+    assert {kept for _, kept in calls} == {True, False}
 
 
 def _shuffled(rng, g: ColoredCompleteGraph) -> ColoredCompleteGraph:
@@ -279,12 +320,12 @@ def test_budget_exceeded_is_reported_not_mistaken_for_exhaustion():
 
 
 def test_budget_is_one_cap_per_order():
-    # R(C3,C3) at n=6 exhausts in 15 nodes
+    # R(C3,C3) at n=6 exhausts in 10 nodes
     p = AvoidanceProblem.uniform(6, 2, 3)
-    out = exists_avoiding(p, budget=15)
-    assert (out.status, out.stats.nodes) == (EXHAUSTED, 15)
-    out = exists_avoiding(p, budget=14)
-    assert (out.status, out.stats.nodes) == (BUDGET_EXCEEDED, 14)
+    out = exists_avoiding(p, budget=10)
+    assert (out.status, out.stats.nodes) == (EXHAUSTED, 10)
+    out = exists_avoiding(p, budget=9)
+    assert (out.status, out.stats.nodes) == (BUDGET_EXCEEDED, 9)
     problems = [
         AvoidanceProblem.uniform(5, 2, 3),
         AvoidanceProblem(9, 2, (5, 5)),
@@ -309,10 +350,10 @@ def test_per_order_counts_in_both_canonicity_regimes():
     # status and nodes/canonical/rejected pin the search itself: orders 9 and
     # 10 reach above CANONICAL_LEVEL_CAP, the order-7 cases stay below it
     cases = [
-        (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 239, 63, 176)),
-        (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 240, 64, 176)),
-        (AvoidanceProblem(7, 2, (4, 5)), None, (EXHAUSTED, 92, 26, 66)),
-        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 255, 66, 189)),
+        (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 101, 63, 38)),
+        (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 102, 64, 38)),
+        (AvoidanceProblem(7, 2, (4, 5)), None, (EXHAUSTED, 38, 26, 12)),
+        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 97, 66, 31)),
     ]
     for p, limits, expected in cases:
         out = exists_avoiding(p, limit_overrides=limits)
@@ -336,15 +377,15 @@ def test_per_order_counts_of_the_benchmark_searches():
     small = [(FOUND, 1, 1, 0), (FOUND, 1, 1, 0), (FOUND, 2, 2, 0), (FOUND, 3, 3, 0),
              (FOUND, 4, 4, 0), (FOUND, 5, 5, 0)]
     assert _orders_until_exhausted(2, (5, 6), False, {2: 11}) == small + [
-        (FOUND, 29, 16, 13), (FOUND, 238, 62, 176), (FOUND, 239, 63, 176),
-        (FOUND, 240, 64, 176), (EXHAUSTED, 622, 114, 508),
+        (FOUND, 21, 16, 5), (FOUND, 100, 62, 38), (FOUND, 101, 63, 38),
+        (FOUND, 102, 64, 38), (EXHAUSTED, 263, 114, 149),
     ]
     assert _orders_until_exhausted(2, (6, 6), False, None) == small + [
-        (FOUND, 6, 6, 0), (EXHAUSTED, 1020, 165, 855),
+        (FOUND, 6, 6, 0), (EXHAUSTED, 343, 165, 178),
     ]
     assert _orders_until_exhausted(3, (3, 3, 3), True, {3: 11}) == small + [
-        (FOUND, 6, 6, 0), (FOUND, 7, 7, 0), (FOUND, 9, 9, 0), (FOUND, 20, 16, 4),
-        (EXHAUSTED, 699, 189, 510),
+        (FOUND, 6, 6, 0), (FOUND, 7, 7, 0), (FOUND, 9, 9, 0), (FOUND, 18, 16, 2),
+        (EXHAUSTED, 315, 189, 126),
     ]
 
 
@@ -434,7 +475,7 @@ def test_search_thresholds_honor_raised_limits():
     rep = search_ramsey(5, 6, limit_overrides={2: 11})
     assert rep.value == 11 == ramsey_formula(5, 6)
     # the 10-vertex construction settles orders 1..10; only n=11 is searched
-    assert rep.stats.nodes == 622
+    assert rep.stats.nodes == 263
     assert verify_certificate(rep).valid
     rep = search_gallai_ramsey(3, 3, limit_overrides={3: 11})
     assert rep.value == 11 == gallai_ramsey_formula(3, 3)
@@ -445,7 +486,7 @@ def test_search_ramsey_c5_c7_exhausts_at_thirteen():
     rep = search_ramsey(5, 7, limit_overrides={2: 13})
     assert rep.value == 13 == ramsey_formula(5, 7)
     # the 12-vertex construction settles orders 1..12; only n=13 is searched
-    assert rep.stats.nodes == 1702
+    assert rep.stats.nodes == 644
     assert verify_certificate(rep).valid
 
 
@@ -454,7 +495,7 @@ def test_search_gallai_c7_two_colors_exhausts_at_thirteen():
     rep = search_gallai_ramsey(7, 2, limit_overrides={2: 13})
     assert rep.value == 13 == rep.lower == rep.upper == gallai_ramsey_formula(7, 2)
     # the 12-vertex doubled construction settles orders 1..12; only n=13 is searched
-    assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (7794, 949, 6845)
+    assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (2323, 949, 1374)
     assert rep.witness.n == 12
     assert verify_certificate(rep).valid
 
