@@ -27,19 +27,8 @@ color-degree refinement, and it is new when no stored coloring in that
 bucket is isomorphic to it (individualization plus refinement, checked edge
 by edge).
 
-Most vectors that are not min-images are cut while they are assigned, as
-in orderly generation (Read 1978; McKay 1998).  Column v of the word is
-vertex v's vector, read in the order it is assigned, so two bounds cost one
-comparison per edge.  While v's vector ties with v-1's on the edges so far,
-edge {u, v} takes no color below that of {u, v-1}: swapping labels v-1 and
-v would give a smaller word.  And no edge takes a color below that of
-{0, 1}, which could otherwise be relabeled onto {0, 1}.  Both hold above the
-cap too.  Colors are tried in increasing order, so the search visits each
-level in word order, and the first member of a class the store sees is the
-class's min-image: both rules keep the same representatives.  The decision
-level (the last vertex, when no list is collected) is left unbounded: no
-level lies below it, and the first completion found there is the one found
-without bounds.
+Vectors that cannot be min-images are cut while they are assigned
+(``_Search._assign``), as in orderly generation (Read 1978; McKay 1998).
 
 One depth-first search covers an order, and a node budget caps the nodes it
 expands.
@@ -483,26 +472,27 @@ class _Search:
             return
         # the coloring on 0..v-1 stays fixed while v's vector is assigned
         self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v, self.triangles)
-        if v >= 2 and (v + 1 < self.p.n or self.collect is not None):
-            self._assign(v, 0, self.colors[0][1], True)
-        else:
-            # edge {0,1} sets the floor; at the decision level any vector will do
-            self._assign(v, 0, 1, False)
+        # at v = 1 edge {0,1} is not colored yet: no floor and no row to tie with
+        self._assign(v, 0, max(1, self.colors[0][1]), v >= 2)
 
     def _assign(self, v: int, u: int, floor: int, tie: bool) -> None:
         """Try each color on edge {u, v}, then go on to u + 1.
 
-        Colors below ``floor`` (colors[0][1]) are skipped, and while ``tie``
-        holds (v's row on 0..u-1 equals row v-1's) so is any color below
-        colors[v-1][u].  Both bounds only drop vectors that are not
-        min-images: swapping labels v-1 and v would turn a smaller row v
-        into a smaller column v-1, and an edge colored below colors[0][1]
-        could be relabeled onto {0,1}.  The parent's rows are already in
-        order, so row v-1 is the only row to compare with.  Above
-        ``CANONICAL_LEVEL_CAP`` the store keeps the first member of each
-        class it sees, which in word order is the min-image, so the bounds
-        hold there too.  At the decision level ``_extend`` passes floor 1
-        and no tie: no level lies below it to save.
+        Column v of the color word is v's vector, read in the order it is
+        assigned, so two bounds cost one comparison per edge and only drop
+        vectors that are not min-images.  Colors below ``floor``
+        (colors[0][1]) are skipped: such an edge could be relabeled onto
+        {0,1}.  While ``tie`` holds (v's row on 0..u-1 equals row v-1's) so is
+        any color below colors[v-1][u]: swapping labels v-1 and v would give
+        a smaller word.  The parent's rows are already in order, so row v-1
+        is the only row to compare with.  Colors are tried in increasing
+        order, so each level is visited in word order and the first member
+        of a class that ``_ClassStore`` sees above ``CANONICAL_LEVEL_CAP`` is
+        its min-image; the bounds hold there too.  At the last vertex they
+        keep the first completion: had it broken a bound, deleting v-1 (row
+        bound) or a vertex off the low-colored edge (floor) would leave an
+        avoider whose min-image precedes the parent, and a relabeling of the
+        completion would already have been found under that.
         """
         if self._done():
             return
