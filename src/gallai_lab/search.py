@@ -14,21 +14,16 @@ depth-first search that stops at the first end asked about, and remember
 both the ends found and the vertices ruled out, so no pair of vertices is
 settled twice at one prefix.
 
-Each isomorphism class of partial colorings is expanded once, by one of two
-rules.  Up to ``CANONICAL_LEVEL_CAP`` vertices a coloring is kept only when
-it is a min-image: no vertex relabeling gives a lexicographically smaller
-color word.  The test backtracks over relabelings and prunes with the
-automorphisms it finds, as search-tree canonical labeling does: a branch
-that reaches an automorphism jumps back to the identity path at once, and a
-vertex that is not the least of its orbit under the automorphisms found so
-far is not tried there.  Above the cap the search keeps a store of the
-classes it has seen.  A coloring's bucket in the store is the trace of its
-color-degree refinement, and it is new when no stored coloring in that
-bucket is isomorphic to it (individualization plus refinement, checked edge
-by edge).
-
-Vectors that cannot be min-images are cut while they are assigned
-(``_Search._assign``), as in orderly generation (Read 1978; McKay 1998).
+Each isomorphism class of partial colorings is expanded once, by one rule:
+the search keeps a store of the classes it has seen.  A coloring's bucket in
+the store is the trace of its color-degree refinement (McKay & Piperno 2014),
+and it is new when no stored coloring in that bucket is isomorphic to it
+(individualization plus refinement, checked row by row).  The class member
+kept is its min-image, the one no vertex relabeling turns into a
+lexicographically smaller color word: vectors that cannot be min-images are
+cut while they are assigned (``_Search._assign``), as in orderly generation
+(Read 1978; McKay 1998), and each level is visited in word order, so the
+first member of a class to reach the store is its min-image.
 
 One depth-first search covers an order, and a node budget caps the nodes it
 expands.
@@ -64,7 +59,6 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 DEFAULT_LIMITS = {1: 64, 2: 9, 3: 7}
 FALLBACK_LIMIT = 6
-CANONICAL_LEVEL_CAP = 8
 MAX_PROBE_ORDER = 64
 
 
@@ -149,153 +143,102 @@ class _BudgetHit(Exception):
     pass
 
 
-_SMALLER, _AUTOMORPHISM, _NOTHING = range(3)
-
-
-def _is_min_image(colors: list[list[int]], ell: int) -> bool:
-    """True when no vertex relabeling yields a smaller color word.
-
-    The word reads the colors of (label i, label r) for r = 1..ell-1,
-    i = 0..r-1; under the identity labeling entry (r, i) is colors[i][r].
-    A relabeling is built position by position, img[r] being the vertex that
-    takes label r, and a branch is dropped once its column r is larger than
-    the identity's.  Candidates are tried in increasing order, so the
-    identity is the first relabeling reached, and the search then backs up
-    the identity path, from its deepest node to its root.
-
-    Below identity node r (img[i] = i for i < r) a branch img[r] = x != r is
-    searched only to its first relabeling that ties on every column.  That
-    relabeling is an automorphism fixing 0..r-1 and mapping r to x, so it
-    carries the identity's subtree, already searched, onto the rest of the
-    branch: the search jumps straight back to node r.  Each automorphism's
-    cycles are merged into one union-find of vertex orbits.  All of them were
-    found at node r or deeper, so they fix 0..r-1, and a candidate x that is
-    not the least vertex of its orbit is skipped: an automorphism fixing
-    0..r-1 maps the branch of that least vertex, already searched, onto x's.
-    Branches off the identity path are not pruned by orbits, since the
-    automorphisms found need not fix their prefix.
-    """
-    img = list(range(ell))
-    used = [True] * ell
-    orbit = list(range(ell))  # union-find; each root is the least vertex of its orbit
-
-    def root(x: int) -> int:
-        while orbit[x] != x:
-            x = orbit[x]
-        return x
-
-    def column(cand: int, r: int) -> int:
-        # compare column r with cand at label r against the identity's column
-        crow = colors[cand]
-        for i in range(r):
-            a = crow[img[i]]
-            b = colors[i][r]
-            if a != b:
-                return -1 if a < b else 1
-        return 0
-
-    def branch(r: int) -> int:
-        # search below img[0..r-1], off the identity path
-        for cand in range(ell):
-            if used[cand]:
-                continue
-            verdict = column(cand, r)
-            if verdict == 1:
-                continue
-            if verdict == -1:
-                return _SMALLER
-            img[r] = cand
-            if r + 1 == ell:
-                return _AUTOMORPHISM
-            used[cand] = True
-            found = branch(r + 1)
-            used[cand] = False
-            if found != _NOTHING:
-                return found
-        return _NOTHING
-
-    for r in range(ell - 1, -1, -1):
-        # identity node r: vertices 0..r-1 keep their labels, x = r is done
-        used[r] = False
-        for x in range(r + 1, ell):
-            if root(x) != x:
-                continue
-            verdict = column(x, r)
-            if verdict == 1:
-                continue
-            if verdict == -1:
-                return False
-            img[r] = x
-            used[x] = True
-            found = branch(r + 1)
-            used[x] = False
-            if found == _SMALLER:
-                return False
-            if found == _AUTOMORPHISM:
-                for i in range(r, ell):
-                    a, b = root(i), root(img[i])
-                    if a != b:
-                        orbit[max(a, b)] = min(a, b)
-    return True
-
-
-def _refine(colors: list[list[int]], cells: list[list[int]]) -> tuple[list[list[int]], list]:
+def _refine(rows: list[list[int]], cells: list[int], targets: list[int]) -> tuple[list[int], list]:
     """Split an ordered partition by color degree until it is equitable.
 
-    A vertex's signature is the sorted multiset of (edge color, cell of the
-    other end) over the other vertices.  Each round splits every cell into
-    groups of equal signature, ordered by signature, so the outcome depends on
-    the coloring and the incoming partition but never on the labels.  Returns
-    the equitable partition and its trace: every group's (cell position,
-    size, signature), round by round.
+    Cells and targets are vertex bitsets, and ``rows`` holds the adjacency
+    bitsets of colors 1..k-1; color k is the rest.  The incoming partition
+    must already be equitable toward every cell but the targets.  Each
+    round, a vertex's signature counts its neighbors in each of those colors
+    inside each target (against a lone target vertex: the color of its edge
+    there), and every cell of two or more vertices is split into groups of
+    equal signature, ordered by signature.  The next round's targets are the
+    groups of the cells that split, all but the first largest of each: its
+    counts are the old cell's, equal across any cell, less the others'.  So
+    the outcome depends on the coloring and the incoming partition but never
+    on the labels.  Returns the equitable partition and its trace: every
+    cell's groups as (cell position, size, signature), round by round.
     """
-    ell = sum(len(cell) for cell in cells)
     trace = []
-    while True:
-        width = len(cells)
-        cell_of = [0] * ell
+    while targets:
+        split: list[int] = []
+        fresh: list[int] = []
+        t = targets[0]
+        u = t.bit_length() - 1 if len(targets) == 1 and not t & (t - 1) else -1
         for i, cell in enumerate(cells):
-            for v in cell:
-                cell_of[v] = i
-        split: list[list[int]] = []
-        for i, cell in enumerate(cells):
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:
-                row = colors[v]
-                sig = tuple(sorted([row[w] * width + cell_of[w] for w in range(ell) if w != v]))
-                groups.setdefault(sig, []).append(v)
-            for sig in sorted(groups):
-                trace.append((i, len(groups[sig]), sig))
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            groups: dict = {}
+            rest = cell
+            if u >= 0:
+                for c, row in enumerate(rows, 1):
+                    part = rest & row[u]
+                    if part:
+                        groups[c] = part
+                        rest ^= part
+                if rest:
+                    groups[len(rows) + 1] = rest
+            else:
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    sig = bytes([(row[v] & m).bit_count() for row in rows for m in targets])
+                    groups[sig] = groups.get(sig, 0) | low
+            if len(groups) == 1:
+                (sig,) = groups
+                trace.append((i, cell.bit_count(), sig))
+                split.append(cell)
+                continue
+            order = sorted(groups)
+            sizes = [groups[sig].bit_count() for sig in order]
+            big = sizes.index(max(sizes))
+            for j, sig in enumerate(order):
+                trace.append((i, sizes[j], sig))
                 split.append(groups[sig])
-        if len(split) == width:
-            return split, trace
-        cells = split
+                if j != big:
+                    fresh.append(groups[sig])
+        cells, targets = split, fresh
+    return cells, trace
 
 
-def _isomorphic(ca: list[list[int]], pa: list[list[int]],
-                cb: list[list[int]], pb: list[list[int]]) -> bool:
+def _isomorphic(ra: list[list[int]], pa: list[int], rb: list[list[int]], pb: list[int]) -> bool:
     """Is there a color-preserving bijection taking each cell of pa onto the same cell of pb?
 
-    pa and pb are equitable partitions reached with equal traces.  A fixed
-    vertex of pa's first non-singleton cell is individualized against each
-    vertex of pb's matching cell; both sides are refined and, on equal
-    traces, the search recurses.  Discrete partitions are compared edge by edge.
+    ra and rb are the rows of colors 1..k-1, and pa and pb equitable
+    partitions reached with equal traces.  The least vertex of pa's first
+    non-singleton cell is individualized against each vertex of pb's
+    matching cell; both sides are refined and, on equal traces, the search
+    recurses.  At discrete partitions every row of ra, relabeled, must be
+    its image's row in rb.
     """
     for i, cell in enumerate(pa):
-        if len(cell) > 1:
+        if cell & (cell - 1):
             break
     else:
         image = [0] * len(pa)
-        for (u,), (w,) in zip(pa, pb):
-            image[u] = w
-        return all(
-            ca[u][w] == cb[image[u]][image[w]] for u in range(len(pa)) for w in range(u)
-        )
-    qa, ta = _refine(ca, pa[:i] + [[cell[0]], cell[1:]] + pa[i + 1:])
-    for b in pb[i]:
-        rest = [w for w in pb[i] if w != b]
-        qb, tb = _refine(cb, pb[:i] + [[b], rest] + pb[i + 1:])
-        if tb == ta and _isomorphic(ca, qa, cb, qb):
+        for x, y in zip(pa, pb):
+            image[x.bit_length() - 1] = y.bit_length() - 1
+        for row_a, row_b in zip(ra, rb):
+            for u, w in enumerate(image):
+                r = row_a[u]
+                mapped = 0
+                while r:
+                    low = r & -r
+                    r ^= low
+                    mapped |= 1 << image[low.bit_length() - 1]
+                if mapped != row_b[w]:
+                    return False
+        return True
+    a = cell & -cell
+    qa, ta = _refine(ra, pa[:i] + [a, cell ^ a] + pa[i + 1:], [a])
+    rest = pb[i]
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        qb, tb = _refine(rb, pb[:i] + [b, pb[i] ^ b] + pb[i + 1:], [b])
+        if tb == ta and _isomorphic(ra, qa, rb, qb):
             return True
     return False
 
@@ -304,20 +247,27 @@ class _ClassStore:
     """Isomorphism classes of colorings seen so far, bucketed by refinement trace.
 
     Colorings of different orders never share a trace, so one store serves
-    every level.  Each class keeps one small color matrix and its partition.
+    every level.  Each class keeps its rows of colors 1..k-1, cut to its
+    order, and its equitable partition.
     """
 
     def __init__(self):
-        self.buckets: dict[tuple, list[tuple[list[list[int]], list[list[int]]]]] = {}
+        self.buckets: dict[tuple, list[tuple[list[list[int]], list[int]]]] = {}
 
-    def add(self, colors: list[list[int]], ell: int) -> bool:
-        """Record the coloring on vertices 0..ell-1; False if its class was already here."""
-        cells, trace = _refine(colors, [list(range(ell))])
+    def add(self, masks: Sequence[list[int]], ell: int) -> bool:
+        """Record the coloring on vertices 0..ell-1; False if its class was already here.
+
+        ``masks[c]`` holds the adjacency bitsets of color c (index 0 unused),
+        as the search keeps them.
+        """
+        rows = [row[:ell] for row in masks[1:-1]]
+        every = (1 << ell) - 1
+        cells, trace = _refine(rows, [every], [every])
         bucket = self.buckets.setdefault(tuple(trace), [])
         for stored, stored_cells in bucket:
-            if _isomorphic(colors, cells, stored, stored_cells):
+            if _isomorphic(rows, cells, stored, stored_cells):
                 return False
-        bucket.append(([row[:ell] for row in colors[:ell]], cells))
+        bucket.append((rows, cells))
         return True
 
 
@@ -487,12 +437,12 @@ class _Search:
         a smaller word.  The parent's rows are already in order, so row v-1
         is the only row to compare with.  Colors are tried in increasing
         order, so each level is visited in word order and the first member
-        of a class that ``_ClassStore`` sees above ``CANONICAL_LEVEL_CAP`` is
-        its min-image; the bounds hold there too.  At the last vertex they
-        keep the first completion: had it broken a bound, deleting v-1 (row
-        bound) or a vertex off the low-colored edge (floor) would leave an
-        avoider whose min-image precedes the parent, and a relabeling of the
-        completion would already have been found under that.
+        of a class that ``_ClassStore`` sees is its min-image.  At the last
+        vertex the bounds keep the first completion: had it broken a bound,
+        deleting v-1 (row bound) or a vertex off the low-colored edge (floor)
+        would leave an avoider whose min-image precedes the parent, and a
+        relabeling of the completion would already have been found under
+        that.
         """
         if self._done():
             return
@@ -552,11 +502,7 @@ class _Search:
             self.canonical += 1
             self._extend(level)
             return
-        if level <= CANONICAL_LEVEL_CAP:
-            ok = _is_min_image(self.colors, level)
-        else:
-            ok = self.seen.add(self.colors, level)
-        if not ok:
+        if not self.seen.add(self.masks, level):
             self.rejected += 1
             return
         self.canonical += 1

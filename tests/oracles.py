@@ -191,6 +191,99 @@ def canonical_key(colors: list[list[int]], ell: int) -> tuple[int, ...]:
     return tuple(best)
 
 
+# -- the min-image test ------------------------------------------------------------
+
+
+_SMALLER, _AUTOMORPHISM, _NOTHING = range(3)
+
+
+def _is_min_image(colors: list[list[int]], ell: int) -> bool:
+    """True when no vertex relabeling yields a smaller color word.
+
+    The word reads the colors of (label i, label r) for r = 1..ell-1,
+    i = 0..r-1; under the identity labeling entry (r, i) is colors[i][r].
+    A relabeling is built position by position, img[r] being the vertex that
+    takes label r, and a branch is dropped once its column r is larger than
+    the identity's.  Candidates are tried in increasing order, so the
+    identity is the first relabeling reached, and the search then backs up
+    the identity path, from its deepest node to its root.
+
+    Below identity node r (img[i] = i for i < r) a branch img[r] = x != r is
+    searched only to its first relabeling that ties on every column.  That
+    relabeling is an automorphism fixing 0..r-1 and mapping r to x, so it
+    carries the identity's subtree, already searched, onto the rest of the
+    branch: the search jumps straight back to node r.  Each automorphism's
+    cycles are merged into one union-find of vertex orbits.  All of them were
+    found at node r or deeper, so they fix 0..r-1, and a candidate x that is
+    not the least vertex of its orbit is skipped: an automorphism fixing
+    0..r-1 maps the branch of that least vertex, already searched, onto x's.
+    Branches off the identity path are not pruned by orbits, since the
+    automorphisms found need not fix their prefix.
+    """
+    img = list(range(ell))
+    used = [True] * ell
+    orbit = list(range(ell))  # union-find; each root is the least vertex of its orbit
+
+    def root(x: int) -> int:
+        while orbit[x] != x:
+            x = orbit[x]
+        return x
+
+    def column(cand: int, r: int) -> int:
+        # compare column r with cand at label r against the identity's column
+        crow = colors[cand]
+        for i in range(r):
+            a = crow[img[i]]
+            b = colors[i][r]
+            if a != b:
+                return -1 if a < b else 1
+        return 0
+
+    def branch(r: int) -> int:
+        # search below img[0..r-1], off the identity path
+        for cand in range(ell):
+            if used[cand]:
+                continue
+            verdict = column(cand, r)
+            if verdict == 1:
+                continue
+            if verdict == -1:
+                return _SMALLER
+            img[r] = cand
+            if r + 1 == ell:
+                return _AUTOMORPHISM
+            used[cand] = True
+            found = branch(r + 1)
+            used[cand] = False
+            if found != _NOTHING:
+                return found
+        return _NOTHING
+
+    for r in range(ell - 1, -1, -1):
+        # identity node r: vertices 0..r-1 keep their labels, x = r is done
+        used[r] = False
+        for x in range(r + 1, ell):
+            if root(x) != x:
+                continue
+            verdict = column(x, r)
+            if verdict == 1:
+                continue
+            if verdict == -1:
+                return False
+            img[r] = x
+            used[x] = True
+            found = branch(r + 1)
+            used[x] = False
+            if found == _SMALLER:
+                return False
+            if found == _AUTOMORPHISM:
+                for i in range(r, ell):
+                    a, b = root(i), root(img[i])
+                    if a != b:
+                        orbit[max(a, b)] = min(a, b)
+    return True
+
+
 # -- randomized inputs ---------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from gallai_lab.coloring import ColoredCompleteGraph, build, complete_monochromatic, relabel
+from gallai_lab.coloring import ColoredCompleteGraph, bits, build, complete_monochromatic, relabel
 from gallai_lab.constructions import gallai_ramsey_formula, ramsey_formula
 from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import BadParameters, OverLimit
@@ -20,7 +20,7 @@ from gallai_lab.search import (
     SearchReport,
     SearchStats,
     _ClassStore,
-    _is_min_image,
+    _refine,
     enumerate_avoiding,
     exists_avoiding,
     feasibility_limit,
@@ -31,7 +31,7 @@ from gallai_lab.search import (
     verify_certificate,
 )
 
-from oracles import automorphism_count, canonical_key, random_coloring
+from oracles import _is_min_image, automorphism_count, canonical_key, random_coloring
 
 
 # -- enumeration completeness -------------------------------------------------------
@@ -62,14 +62,10 @@ def _matrix(g: ColoredCompleteGraph) -> list[list[int]]:
     return mat
 
 
-def test_seen_set_regime_counts_like_min_image(monkeypatch):
-    # forcing the class-store regime on tiny orders must not change what is kept:
-    # each isomorphism class still appears exactly once, and the color floor
-    # keeps it under the edge {0,1} of its minimal color
-    import gallai_lab.search as search_mod
-
-    monkeypatch.setattr(search_mod, "CANONICAL_LEVEL_CAP", 2)
-
+def test_seen_set_regime_counts_like_min_image():
+    # the class store on tiny orders keeps each isomorphism class exactly
+    # once, and the color floor keeps it under the edge {0,1} of its minimal
+    # color
     def key_of(g):
         return canonical_key(_matrix(g), g.n)
 
@@ -99,25 +95,38 @@ def test_class_counts_of_rainbow_free_c5_three_colorings():
     assert counts == [3, 9, 39, 132, 405, 891, 1497]
 
 
+def _colors_of(masks, ell: int) -> list[list[int]]:
+    # the color matrix on 0..ell-1 of per-color adjacency rows (index 0 unused)
+    colors = [[0] * ell for _ in range(ell)]
+    for c, rows in enumerate(masks[1:], 1):
+        for u in range(ell):
+            for w in bits(rows[u]):
+                colors[u][w] = c
+    return colors
+
+
 def test_class_store_keeps_exactly_the_min_images(monkeypatch):
     # the search visits each level in word order, so the first member of a
-    # class the store sees is its min-image: above the cap the store must
+    # class the store sees is its min-image: at every level the store must
     # keep exactly the colorings the min-image test would keep
     add = _ClassStore.add
     calls = []
 
-    def checked_add(self, colors, ell):
-        kept = add(self, colors, ell)
-        assert kept == _is_min_image(colors, ell), [row[:ell] for row in colors[:ell]]
+    def checked_add(self, masks, ell):
+        kept = add(self, masks, ell)
+        colors = _colors_of(masks, ell)
+        assert kept == _is_min_image(colors, ell), colors
         calls.append((ell, kept))
         return kept
 
     monkeypatch.setattr(_ClassStore, "add", checked_add)
-    for n in range(9, 12):
+    for n in range(2, 12):
         exists_avoiding(AvoidanceProblem(n, 2, (5, 6)), limit_overrides={2: 11})
-    for n in range(9, 13):
+    for n in range(2, 13):
         exists_avoiding(AvoidanceProblem(n, 2, (7, 7)), limit_overrides={2: 12})
-    assert {ell for ell, _ in calls} == {9, 10, 11}
+    for n in range(2, 9):
+        exists_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True), limit_overrides={3: 8})
+    assert {ell for ell, _ in calls} == set(range(2, 12))
     assert {kept for _, kept in calls} == {True, False}
 
 
@@ -147,15 +156,19 @@ def _cycle_union(lengths) -> ColoredCompleteGraph:
     return build(n, 2, colors)
 
 
+def _masks(g: ColoredCompleteGraph) -> list[list[int]]:
+    # per-color adjacency rows as the search keeps them (index 0 unused)
+    return [[0] * g.n] + [g.class_masks(c) for c in range(1, g.k + 1)]
+
+
 def _assert_store_agrees_with_oracle(colorings) -> None:
     # a coloring opens a new class in the store exactly when its minimal
     # word has not been seen before
     store = _ClassStore()
     keys = set()
     for g in colorings:
-        mat = _matrix(g)
-        key = canonical_key(mat, g.n)
-        assert store.add(mat, g.n) == (key not in keys)
+        key = canonical_key(_matrix(g), g.n)
+        assert store.add(_masks(g), g.n) == (key not in keys)
         keys.add(key)
 
 
@@ -200,6 +213,49 @@ def _blocks(rng, n: int, k: int) -> ColoredCompleteGraph:
         (u, v): pair_color.setdefault((owner[u], owner[v]), rng.randint(1, k))
         for u in range(n) for v in range(u + 1, n)
     })
+
+
+def _palette_edge_pool(rng, k: int) -> list[ColoredCompleteGraph]:
+    pool = []
+    for n in range(2, 8):
+        pool += [random_coloring(rng, n, k), _blocks(rng, n, k)]
+        pool.append(_circulant(n, {d: rng.randint(1, k) for d in range(1, n // 2 + 1)}, k))
+    return pool
+
+
+def test_refinement_ignores_vertex_labels_at_the_palette_edges():
+    # a relabeled coloring refines to the same trace and to the relabeled
+    # cells, from the whole vertex set and after one vertex is individualized;
+    # with k = 1 there is no color to split on
+    rng = random.Random(41)
+    for k in (1, 2, 3, 4):
+        for g in _palette_edge_pool(rng, k):
+            every = (1 << g.n) - 1
+            x = rng.randrange(g.n)
+            whole = _refine(_masks(g)[1:-1], [every], [every])
+            single = _refine(_masks(g)[1:-1], [1 << x, every ^ 1 << x], [1 << x])
+            if k == 1:
+                assert whole[0] == [every]
+            for _ in range(3):
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                rows = _masks(relabel(g, perm))[1:-1]
+                y = perm[x]
+                for (cells, trace), got in (
+                    (whole, _refine(rows, [every], [every])),
+                    (single, _refine(rows, [1 << y, every ^ 1 << y], [1 << y])),
+                ):
+                    moved = [sum(1 << perm[v] for v in bits(cell)) for cell in cells]
+                    assert got == (moved, trace)
+
+
+def test_class_store_agrees_with_oracle_key_at_the_palette_edges():
+    rng = random.Random(43)
+    for k in (1, 4):
+        pool = _palette_edge_pool(rng, k)
+        pool += [_shuffled(rng, g) for g in pool]
+        rng.shuffle(pool)
+        _assert_store_agrees_with_oracle(pool)
 
 
 def test_min_image_agrees_with_oracle_key():
@@ -347,8 +403,7 @@ def test_budget_is_one_cap_per_order():
 
 
 def test_per_order_counts_in_both_canonicity_regimes():
-    # status and nodes/canonical/rejected pin the search itself: orders 9 and
-    # 10 reach above CANONICAL_LEVEL_CAP, the order-7 cases stay below it
+    # status and nodes/canonical/rejected pin the search itself
     cases = [
         (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 101, 63, 38)),
         (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 102, 64, 38)),
