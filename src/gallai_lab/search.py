@@ -14,16 +14,20 @@ depth-first search that stops at the first end asked about, and remember
 both the ends found and the vertices ruled out, so no pair of vertices is
 settled twice at one prefix.
 
-Each isomorphism class of partial colorings is expanded once, by one rule:
-the search keeps a store of the classes it has seen.  A coloring's bucket in
-the store is the trace of its color-degree refinement (McKay & Piperno 2014),
-and it is new when no stored coloring in that bucket is isomorphic to it
-(individualization plus refinement, checked row by row).  The class member
-kept is its min-image, the one no vertex relabeling turns into a
-lexicographically smaller color word: vectors that cannot be min-images are
-cut while they are assigned (``_Search._assign``), as in orderly generation
-(Read 1978; McKay 1998), and each level is visited in word order, so the
-first member of a class to reach the store is its min-image.
+Each class of partial colorings is expanded once, by one rule: the search
+keeps a store of the classes it has seen.  Two colorings share a class when
+a vertex relabeling and a renaming of colors with equal forbidden cycle
+lengths turn one into the other; such a renaming keeps every constraint,
+the rainbow rule included.  The store names a coloring's colors in order of
+class size, and its bucket is the trace of that palette image's color-degree
+refinement (McKay & Piperno 2014).  It is new when no image stored in that
+bucket is isomorphic to it (individualization plus refinement, checked row
+by row).  The class member kept is its min-image, the one no relabeling and
+renaming turns into a lexicographically smaller color word: vectors that
+cannot be min-images are cut while they are assigned (``_Search._assign``),
+as in orderly generation (Read 1978; McKay 1998), and each level is visited
+in word order, so the first member of a class to reach the store is its
+min-image.
 
 One depth-first search covers an order, and a node budget caps the nodes it
 expands.
@@ -31,6 +35,7 @@ expands.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import time
@@ -243,16 +248,54 @@ def _isomorphic(ra: list[list[int]], pa: list[int], rb: list[list[int]], pb: lis
     return False
 
 
-class _ClassStore:
-    """Isomorphism classes of colorings seen so far, bucketed by refinement trace.
+def _block_orders(block: Sequence[int], sizes: list[int]) -> list[tuple[int, ...]]:
+    """Every order of the block's colors by class size, tied colors in each of their orders.
 
-    Colorings of different orders never share a trace, so one store serves
-    every level.  Each class keeps its rows of colors 1..k-1, cut to its
-    order, and its equitable partition.
+    Empty colors are all alike, so they keep one order.
+    """
+    orders: list[tuple[int, ...]] = [()]
+    for size, run in itertools.groupby(sorted(block, key=sizes.__getitem__), sizes.__getitem__):
+        run = tuple(run)
+        perms = list(itertools.permutations(run)) if size else [run]
+        orders = [o + p for o in orders for p in perms]
+    return orders
+
+
+class _ClassStore:
+    """Classes of colorings seen so far, bucketed by refinement trace.
+
+    Two colorings share a class when a vertex relabeling and a permutation
+    of the colors inside each of ``blocks`` (lists of colors) turn one into
+    the other; with no blocks that is vertex relabeling alone.  A coloring's
+    palette images put each block's colors in order of class size, tied
+    colors in every order.  Relabeling vertices relabels that set of images
+    and permuting a block leaves it as it is, so two colorings share a class
+    exactly when the first image of one is vertex-isomorphic to some image
+    of the other.  The store looks up the first image only and, on accept,
+    keeps every image under its own trace.  Colorings of different orders
+    never share a trace, so one store serves every level.  Each image keeps
+    its rows of colors 1..k-1, cut to its order, and its equitable
+    partition.
     """
 
-    def __init__(self):
+    def __init__(self, blocks: Sequence[Sequence[int]] = ()):
+        self.blocks = [tuple(b) for b in blocks]
         self.buckets: dict[tuple, list[tuple[list[list[int]], list[int]]]] = {}
+
+    def _images(self, masks: Sequence[list[int]], ell: int) -> list[list[list[int]]]:
+        # each image's rows of colors 1..k-1, the first image first
+        if not self.blocks:
+            return [[row[:ell] for row in masks[1:-1]]]
+        rows = [None] + [row[:ell] for row in masks[1:]]
+        sizes = [0] + [sum(map(int.bit_count, row)) for row in rows[1:]]
+        images = []
+        for orders in itertools.product(*(_block_orders(b, sizes) for b in self.blocks)):
+            source = list(range(len(rows)))
+            for block, order in zip(self.blocks, orders):
+                for c, s in zip(block, order):
+                    source[c] = s
+            images.append([rows[s] for s in source[1:-1]])
+        return images
 
     def add(self, masks: Sequence[list[int]], ell: int) -> bool:
         """Record the coloring on vertices 0..ell-1; False if its class was already here.
@@ -260,14 +303,18 @@ class _ClassStore:
         ``masks[c]`` holds the adjacency bitsets of color c (index 0 unused),
         as the search keeps them.
         """
-        rows = [row[:ell] for row in masks[1:-1]]
+        images = self._images(masks, ell)
         every = (1 << ell) - 1
+        rows = images[0]
         cells, trace = _refine(rows, [every], [every])
         bucket = self.buckets.setdefault(tuple(trace), [])
         for stored, stored_cells in bucket:
             if _isomorphic(rows, cells, stored, stored_cells):
                 return False
         bucket.append((rows, cells))
+        for rows in images[1:]:
+            cells, trace = _refine(rows, [every], [every])
+            self.buckets.setdefault(tuple(trace), []).append((rows, cells))
         return True
 
 
@@ -384,7 +431,11 @@ class _Search:
         self.rejected = 0
         self.found: ColoredCompleteGraph | None = None
         self.exceeded = False
-        self.seen = _ClassStore()
+        # renaming colors of equal forbidden length keeps every constraint
+        blocks: dict[int, list[int]] = {}
+        for c, m in enumerate(problem.forbidden, 1):
+            blocks.setdefault(m, []).append(c)
+        self.seen = _ClassStore([b for b in blocks.values() if len(b) > 1])
 
     def run(self) -> "_Search":
         try:
@@ -435,14 +486,16 @@ class _Search:
         {0,1}.  While ``tie`` holds (v's row on 0..u-1 equals row v-1's) so is
         any color below colors[v-1][u]: swapping labels v-1 and v would give
         a smaller word.  The parent's rows are already in order, so row v-1
-        is the only row to compare with.  Colors are tried in increasing
-        order, so each level is visited in word order and the first member
-        of a class that ``_ClassStore`` sees is its min-image.  At the last
-        vertex the bounds keep the first completion: had it broken a bound,
-        deleting v-1 (row bound) or a vertex off the low-colored edge (floor)
-        would leave an avoider whose min-image precedes the parent, and a
-        relabeling of the completion would already have been found under
-        that.
+        is the only row to compare with.  A vector that is no min-image under
+        vertex relabeling stays none once the colors inside a block may be
+        renamed too, so the bounds keep every min-image of the store's
+        classes.  Colors are
+        tried in increasing order, so each level is visited in word order
+        and the first member of a class that the store sees is its
+        min-image.  At the last vertex the search stops at its first
+        completion, which is the lexicographically first avoider: that
+        avoider is the min-image of its class and its parent the min-image
+        of its own, so no bound cuts either and the store kept the parent.
         """
         if self._done():
             return
@@ -543,7 +596,11 @@ def exists_avoiding(
 def enumerate_avoiding(
     problem: AvoidanceProblem, limit_overrides: dict[int, int] | None = None
 ) -> list[ColoredCompleteGraph]:
-    """All canonical colorings avoiding the forbidden structures (test scale)."""
+    """All avoiding colorings, one per class (test scale).
+
+    A class is closed under vertex relabeling and under renaming colors
+    with equal forbidden cycle lengths.
+    """
     _check_limit(problem, limit_overrides)
     out: list[ColoredCompleteGraph] = []
     _Search(problem, collect=out).run()

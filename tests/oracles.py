@@ -148,22 +148,51 @@ def set_partitions(items: Sequence[int]) -> Iterator[list[list[int]]]:
         yield [[first]] + smaller
 
 
-def automorphism_count(g: ColoredCompleteGraph) -> int:
-    """|Aut| by brute force over all vertex permutations (small n only)."""
+def palette_permutations(blocks: Sequence[Sequence[int]] = ()) -> list[dict[int, int]]:
+    """Every renaming of colors that permutes colors only inside each block.
+
+    A renaming maps each block color to its new name; colors outside the
+    blocks keep theirs.  The identity comes first.
+    """
+    out = []
+    for images in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        out.append({c: d for block, image in zip(blocks, images) for c, d in zip(block, image)})
+    return out
+
+
+def automorphism_count(g: ColoredCompleteGraph, blocks: Sequence[Sequence[int]] = ()) -> int:
+    """The number of (vertex permutation, block renaming) pairs that fix g.
+
+    Brute force over all of them (small n only); with no blocks this is |Aut|.
+    """
     pairs = list(itertools.combinations(range(g.n), 2))
     count = 0
-    for perm in itertools.permutations(range(g.n)):
-        if all(g.color_of(perm[u], perm[v]) == g.color_of(u, v) for u, v in pairs):
-            count += 1
+    for tau in palette_permutations(blocks):
+        for perm in itertools.permutations(range(g.n)):
+            if all(
+                g.color_of(perm[u], perm[v]) == tau.get(g.color_of(u, v), g.color_of(u, v))
+                for u, v in pairs
+            ):
+                count += 1
     return count
 
 
-def canonical_key(colors: list[list[int]], ell: int) -> tuple[int, ...]:
+def _renamed(colors: list[list[int]], tau: dict[int, int]) -> list[list[int]]:
+    return [[tau.get(c, c) for c in row] for row in colors]
+
+
+def canonical_key(
+    colors: list[list[int]], ell: int, blocks: Sequence[Sequence[int]] = ()
+) -> tuple[int, ...]:
     """The minimal color word over all relabelings (reference isomorphism invariant).
 
-    Factorial in the worst case; the search dedups by refinement and an
-    isomorphism test instead, and the tests check the two agree.
+    With ``blocks`` the minimum also runs over every renaming of colors
+    inside each block.  Factorial in the worst case; the search dedups by
+    refinement and an isomorphism test instead, and the tests check the two
+    agree.
     """
+    if blocks:
+        return min(canonical_key(_renamed(colors, tau), ell) for tau in palette_permutations(blocks))
     best: list[int] | None = None
     img = [0] * ell
     used = [False] * ell
@@ -282,6 +311,54 @@ def _is_min_image(colors: list[list[int]], ell: int) -> bool:
                     if a != b:
                         orbit[max(a, b)] = min(a, b)
     return True
+
+
+def _relabeling_gives_smaller(colors: list[list[int]], ell: int, other: list[list[int]]) -> bool:
+    """Does some vertex relabeling of ``other`` give a smaller word than ``colors``'s own?
+
+    Position by position, like the min-image test, but without automorphism
+    pruning.  It stops at the first relabeling that ties on every column:
+    then ``other`` is a relabeling of ``colors``, and whether a smaller word
+    exists is the min-image test's question.
+    """
+    img = [0] * ell
+    used = [False] * ell
+
+    def place(r: int) -> int:
+        if r == ell:
+            return 0
+        for cand in range(ell):
+            if used[cand]:
+                continue
+            verdict = 0
+            for i in range(r):
+                a, b = other[cand][img[i]], colors[i][r]
+                if a != b:
+                    verdict = -1 if a < b else 1
+                    break
+            if verdict == 1:
+                continue
+            if verdict == -1:
+                return -1
+            used[cand] = True
+            img[r] = cand
+            found = place(r + 1)
+            used[cand] = False
+            if found != 1:
+                return found
+        return 1
+
+    return place(0) == -1
+
+
+def is_group_min_image(colors: list[list[int]], ell: int, blocks: Sequence[Sequence[int]]) -> bool:
+    """True when no vertex relabeling and renaming inside the blocks gives a smaller word."""
+    if not _is_min_image(colors, ell):
+        return False
+    return not any(
+        _relabeling_gives_smaller(colors, ell, _renamed(colors, tau))
+        for tau in palette_permutations(blocks)[1:]
+    )
 
 
 # -- randomized inputs ---------------------------------------------------------------

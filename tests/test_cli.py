@@ -276,11 +276,11 @@ def test_search_limit_flag_and_env(tmp_path, capsys, monkeypatch):
 
 
 def test_search_budget_covering_the_exhaustion_gives_the_value(capsys):
-    # the exhausting order n=6 takes 10 nodes
-    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "10")
+    # the exhausting order n=6 takes 9 nodes
+    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "9")
     assert code == 0
     assert json.loads(out)["value"] == 6
-    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "9")
+    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "8")
     assert code == 0
     payload = json.loads(out)
     assert (payload["value"], payload["lower"]) == (None, 6)

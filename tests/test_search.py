@@ -31,25 +31,44 @@ from gallai_lab.search import (
     verify_certificate,
 )
 
-from oracles import _is_min_image, automorphism_count, canonical_key, random_coloring
+from oracles import (
+    _is_min_image,
+    automorphism_count,
+    canonical_key,
+    is_group_min_image,
+    palette_permutations,
+    random_coloring,
+)
 
 
 # -- enumeration completeness -------------------------------------------------------
 
 
-def _orbit_sum(colorings) -> int:
+def _orbit_sum(colorings, blocks) -> int:
+    # orbits under vertex relabeling times renaming inside the blocks
+    group = math.prod(math.factorial(len(b)) for b in blocks)
     total = 0
     for g in colorings:
-        total += math.factorial(g.n) // automorphism_count(g)
+        total += math.factorial(g.n) * group // automorphism_count(g, blocks)
     return total
 
 
 def test_enumeration_covers_every_labeled_coloring():
-    # a forbidden length above n constrains nothing, so the canonical
-    # representatives must tile the full k^C(n,2) space by orbit size
-    for n, k in [(3, 2), (4, 2), (5, 2), (4, 3), (6, 2)]:
-        reps = enumerate_avoiding(AvoidanceProblem.uniform(n, k, n + 1))
-        assert _orbit_sum(reps) == k ** (n * (n - 1) // 2)
+    # a forbidden length above n constrains nothing, so the representatives
+    # must tile the full k^C(n,2) space by orbit size; colors of equal
+    # forbidden length are renamed freely, the others never
+    cases = [
+        (3, 2, (4, 4), [(1, 2)]),
+        (4, 2, (5, 5), [(1, 2)]),
+        (5, 2, (6, 6), [(1, 2)]),
+        (4, 3, (5, 5, 5), [(1, 2, 3)]),
+        (6, 2, (7, 7), [(1, 2)]),
+        (4, 2, (5, 6), []),
+        (4, 3, (5, 6, 5), [(1, 3)]),
+    ]
+    for n, k, forbidden, blocks in cases:
+        reps = enumerate_avoiding(AvoidanceProblem(n, k, forbidden))
+        assert _orbit_sum(reps, blocks) == k ** (n * (n - 1) // 2)
         words = {g.edge_colors() for g in reps}
         assert len(words) == len(reps), "duplicate canonical representative"
 
@@ -62,36 +81,58 @@ def _matrix(g: ColoredCompleteGraph) -> list[list[int]]:
     return mat
 
 
-def test_seen_set_regime_counts_like_min_image():
-    # the class store on tiny orders keeps each isomorphism class exactly
-    # once, and the color floor keeps it under the edge {0,1} of its minimal
-    # color
-    def key_of(g):
-        return canonical_key(_matrix(g), g.n)
-
+def test_enumeration_keeps_one_coloring_per_class():
+    # no two representatives share the oracle's minimal word under vertex
+    # relabeling and renaming inside the block, and together they tile the
+    # space
     for n, k in [(4, 2), (5, 2), (4, 3)]:
+        blocks = [tuple(range(1, k + 1))]
         reps = enumerate_avoiding(AvoidanceProblem.uniform(n, k, n + 1))
-        assert _orbit_sum(reps) == k ** (n * (n - 1) // 2)
-        keys = {key_of(g) for g in reps}
+        assert _orbit_sum(reps, blocks) == k ** (n * (n - 1) // 2)
+        keys = {canonical_key(_matrix(g), g.n, blocks) for g in reps}
         assert len(keys) == len(reps), "isomorphic duplicates"
+
+
+def _renamed_masks(masks, tau):
+    # per-color rows with color c renamed tau.get(c, c)
+    out = list(masks)
+    for c, d in tau.items():
+        out[d] = masks[c]
+    return out
+
+
+def _vertex_class_count(reps_masks, blocks) -> int:
+    # the classes under vertex relabeling alone: each representative's
+    # renamings, counted by a store with no blocks
+    store = _ClassStore()
+    count = 0
+    for masks, ell in reps_masks:
+        for tau in palette_permutations(blocks):
+            count += store.add(_renamed_masks(masks, tau), ell)
+    return count
 
 
 def test_class_counts_of_unconstrained_two_colorings():
     # a forbidden length above n constrains nothing: the classes are the
-    # graphs on n vertices, OEIS A000088
-    counts = [
-        len(enumerate_avoiding(AvoidanceProblem.uniform(n, 2, max(3, n + 1))))
-        for n in range(1, 8)
+    # graphs on n vertices up to complement, OEIS A007869, and the graphs,
+    # OEIS A000088, once the renamings are counted apart
+    reps = [
+        enumerate_avoiding(AvoidanceProblem.uniform(n, 2, max(3, n + 1))) for n in range(1, 8)
     ]
+    assert [len(r) for r in reps] == [1, 1, 2, 6, 18, 78, 522]
+    counts = [_vertex_class_count([(_masks(g), g.n) for g in r], [(1, 2)]) for r in reps]
     assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
 
 def test_class_counts_of_rainbow_free_c5_three_colorings():
-    # the level counts of the gr_3(K_3 : C_5) = 17 exhaustion, up to relabeling
-    counts = [
-        len(enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True), {3: 8}))
+    # the level counts of the gr_3(K_3 : C_5) = 17 exhaustion, up to vertex
+    # relabeling and renaming, and up to vertex relabeling alone
+    reps = [
+        enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True), {3: 8})
         for n in range(2, 9)
     ]
+    assert [len(r) for r in reps] == [1, 2, 8, 23, 70, 150, 254]
+    counts = [_vertex_class_count([(_masks(g), g.n) for g in r], [(1, 2, 3)]) for r in reps]
     assert counts == [3, 9, 39, 132, 405, 891, 1497]
 
 
@@ -108,15 +149,16 @@ def _colors_of(masks, ell: int) -> list[list[int]]:
 def test_class_store_keeps_exactly_the_min_images(monkeypatch):
     # the search visits each level in word order, so the first member of a
     # class the store sees is its min-image: at every level the store must
-    # keep exactly the colorings the min-image test would keep
+    # keep exactly the colorings that no vertex relabeling and renaming
+    # inside the store's blocks make smaller
     add = _ClassStore.add
     calls = []
 
     def checked_add(self, masks, ell):
         kept = add(self, masks, ell)
         colors = _colors_of(masks, ell)
-        assert kept == _is_min_image(colors, ell), colors
-        calls.append((ell, kept))
+        assert kept == is_group_min_image(colors, ell, self.blocks), colors
+        calls.append((ell, kept, _is_min_image(colors, ell)))
         return kept
 
     monkeypatch.setattr(_ClassStore, "add", checked_add)
@@ -126,8 +168,14 @@ def test_class_store_keeps_exactly_the_min_images(monkeypatch):
         exists_avoiding(AvoidanceProblem(n, 2, (7, 7)), limit_overrides={2: 12})
     for n in range(2, 9):
         exists_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True), limit_overrides={3: 8})
-    assert {ell for ell, _ in calls} == set(range(2, 12))
-    assert {kept for _, kept in calls} == {True, False}
+    for n in range(2, 8):
+        enumerate_avoiding(AvoidanceProblem(n, 2, (6, 6)))
+    for n in range(2, 11):
+        enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 3, rainbow=True), {3: 10})
+    assert {ell for ell, _, _ in calls} == set(range(2, 12))
+    assert {kept for _, kept, _ in calls} == {True, False}
+    # vertex min-images that a renaming of colors makes smaller
+    assert any(vertex_min and not kept for _, kept, vertex_min in calls)
 
 
 def _shuffled(rng, g: ColoredCompleteGraph) -> ColoredCompleteGraph:
@@ -258,6 +306,68 @@ def test_class_store_agrees_with_oracle_key_at_the_palette_edges():
         _assert_store_agrees_with_oracle(pool)
 
 
+def _assert_group_store_agrees_with_oracle(colorings, blocks) -> None:
+    # a coloring opens a new class exactly when its minimal word under
+    # relabeling and renaming inside the blocks has not been seen before
+    store = _ClassStore(blocks)
+    keys = set()
+    for g in colorings:
+        key = canonical_key(_matrix(g), g.n, blocks)
+        assert store.add(_masks(g), g.n) == (key not in keys), g.edge_colors()
+        keys.add(key)
+
+
+def _renamed_coloring(g: ColoredCompleteGraph, tau) -> ColoredCompleteGraph:
+    return ColoredCompleteGraph(g.n, g.k, [tau.get(c, c) for c in g.edge_colors()])
+
+
+def _tied_pool(k: int) -> list[ColoredCompleteGraph]:
+    # colorings whose classes tie in size: a triangle and a star on K_4 (not
+    # isomorphic as graphs), a 5-cycle and its complement (isomorphic), two
+    # perfect matchings of K_4, and colorings with empty colors
+    pool = [
+        build(4, k, {(0, 1): 1, (0, 2): 1, (1, 2): 1, (0, 3): 2, (1, 3): 2, (2, 3): 2}),
+        _circulant(5, {1: 1, 2: 2}, k),
+        build(4, k, {(0, 1): 1, (2, 3): 1, (0, 2): 2, (1, 3): 2, (0, 3): k, (1, 2): k}),
+        complete_monochromatic(5, k, 2),
+        _circulant(6, {1: 1, 2: 2, 3: k}, k),
+    ]
+    return pool
+
+
+def test_class_store_with_blocks_agrees_with_group_oracle():
+    rng = random.Random(47)
+    for k, block_sets in (
+        (2, [[(1, 2)]]),
+        (3, [[(1, 2, 3)], [(1, 3)]]),
+        (4, [[(1, 2, 3, 4)], [(1, 2), (3, 4)]]),
+    ):
+        for blocks in block_sets:
+            pool = _palette_edge_pool(rng, k) + _tied_pool(k)
+            renamings = palette_permutations(blocks)
+            pool += [_renamed_coloring(_shuffled(rng, g), rng.choice(renamings)) for g in pool]
+            pool += [_renamed_coloring(g, rng.choice(renamings)) for g in pool]
+            rng.shuffle(pool)
+            _assert_group_store_agrees_with_oracle(pool, blocks)
+
+
+def test_class_store_images_cover_tied_and_empty_colors():
+    # a store entry per distinct renaming that orders the block by class
+    # size: ties give one image per order, empty colors are all alike
+    def images(g, blocks):
+        return len(_ClassStore(blocks)._images(_masks(g), g.n))
+
+    triangle_and_star = _tied_pool(3)[0]
+    assert images(triangle_and_star, [(1, 2, 3)]) == 2
+    assert images(triangle_and_star, [(1, 2)]) == 2
+    assert images(triangle_and_star, [(2, 3)]) == 1
+    assert images(complete_monochromatic(5, 4, 2), [(1, 2, 3, 4)]) == 1
+    assert images(_circulant(6, {1: 1, 2: 2, 3: 3}, 3), [(1, 2, 3)]) == 2
+    matchings = _tied_pool(3)[2]
+    assert images(matchings, [(1, 2, 3)]) == 6
+    assert images(_tied_pool(4)[2], [(1, 2), (3, 4)]) == 2
+
+
 def test_min_image_agrees_with_oracle_key():
     # a coloring is a min-image exactly when its own word is the minimal one;
     # random colorings are rarely min-images, so each pool also holds the
@@ -315,11 +425,42 @@ def test_enumeration_matches_bruteforce_filter_with_rainbow():
         if any(find_mono_cycle(g, c, m) is not None for c in range(1, k + 1)):
             continue
         expected += 1
-    assert _orbit_sum(reps) == expected
+    assert _orbit_sum(reps, [(1, 2, 3)]) == expected
     for g in reps:
         assert find_rainbow_triangle(g) is None
         for c in range(1, k + 1):
             assert find_mono_cycle(g, c, m) is None
+
+
+def _first_avoiding_word(p: AvoidanceProblem):
+    # the color words in increasing order, each checked with the detectors
+    for flat in itertools.product(range(1, p.k + 1), repeat=p.n * (p.n - 1) // 2):
+        g = ColoredCompleteGraph(p.n, p.k, list(flat))
+        if p.rainbow_triangle_forbidden and find_rainbow_triangle(g) is not None:
+            continue
+        if any(find_mono_cycle(g, c, m) is not None for c, m in enumerate(p.forbidden, 1)):
+            continue
+        return flat
+    return None
+
+
+def test_found_coloring_is_the_first_avoiding_word():
+    # the search's word order is the ColoredCompleteGraph pair order, so the
+    # coloring it finds must be the least avoiding word, whatever it dedups by
+    cases = [
+        (1, (3,), False), (1, (4,), False), (2, (3, 3), False), (2, (4, 4), False), (2, (3, 4), False), (2, (4, 5), False),
+        (2, (5, 5), False), (3, (3, 3, 3), False), (3, (3, 3, 3), True),
+        (3, (4, 4, 4), True), (3, (3, 4, 3), False), (3, (3, 3, 4), True),
+    ]
+    statuses = set()
+    for k, forbidden, rainbow in cases:
+        for n in range(1, 6):
+            p = AvoidanceProblem(n, k, forbidden, rainbow)
+            out = exists_avoiding(p)
+            statuses.add(out.status)
+            found = out.coloring.edge_colors() if out.coloring is not None else None
+            assert found == _first_avoiding_word(p), p
+    assert statuses == {FOUND, EXHAUSTED}
 
 
 def test_exists_avoiding_mono_triangles():
@@ -376,12 +517,12 @@ def test_budget_exceeded_is_reported_not_mistaken_for_exhaustion():
 
 
 def test_budget_is_one_cap_per_order():
-    # R(C3,C3) at n=6 exhausts in 10 nodes
+    # R(C3,C3) at n=6 exhausts in 9 nodes
     p = AvoidanceProblem.uniform(6, 2, 3)
-    out = exists_avoiding(p, budget=10)
-    assert (out.status, out.stats.nodes) == (EXHAUSTED, 10)
     out = exists_avoiding(p, budget=9)
-    assert (out.status, out.stats.nodes) == (BUDGET_EXCEEDED, 9)
+    assert (out.status, out.stats.nodes) == (EXHAUSTED, 9)
+    out = exists_avoiding(p, budget=8)
+    assert (out.status, out.stats.nodes) == (BUDGET_EXCEEDED, 8)
     problems = [
         AvoidanceProblem.uniform(5, 2, 3),
         AvoidanceProblem(9, 2, (5, 5)),
@@ -402,13 +543,14 @@ def test_budget_is_one_cap_per_order():
         exists_avoiding(AvoidanceProblem.uniform(1, 2, 3), budget=0)
 
 
-def test_per_order_counts_in_both_canonicity_regimes():
-    # status and nodes/canonical/rejected pin the search itself
+def test_per_order_counts_with_and_without_renamings():
+    # status and nodes/canonical/rejected pin the search itself; colors of
+    # different forbidden lengths are never renamed, equal ones always
     cases = [
         (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 101, 63, 38)),
         (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 102, 64, 38)),
         (AvoidanceProblem(7, 2, (4, 5)), None, (EXHAUSTED, 38, 26, 12)),
-        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 97, 66, 31)),
+        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 48, 15, 33)),
     ]
     for p, limits, expected in cases:
         out = exists_avoiding(p, limit_overrides=limits)
@@ -436,11 +578,11 @@ def test_per_order_counts_of_the_benchmark_searches():
         (FOUND, 102, 64, 38), (EXHAUSTED, 263, 114, 149),
     ]
     assert _orders_until_exhausted(2, (6, 6), False, None) == small + [
-        (FOUND, 6, 6, 0), (EXHAUSTED, 343, 165, 178),
+        (FOUND, 6, 6, 0), (EXHAUSTED, 229, 84, 145),
     ]
     assert _orders_until_exhausted(3, (3, 3, 3), True, {3: 11}) == small + [
         (FOUND, 6, 6, 0), (FOUND, 7, 7, 0), (FOUND, 9, 9, 0), (FOUND, 18, 16, 2),
-        (EXHAUSTED, 315, 189, 126),
+        (EXHAUSTED, 94, 39, 55),
     ]
 
 
@@ -550,9 +692,37 @@ def test_search_gallai_c7_two_colors_exhausts_at_thirteen():
     rep = search_gallai_ramsey(7, 2, limit_overrides={2: 13})
     assert rep.value == 13 == rep.lower == rep.upper == gallai_ramsey_formula(7, 2)
     # the 12-vertex doubled construction settles orders 1..12; only n=13 is searched
-    assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (2323, 949, 1374)
+    assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (1280, 477, 803)
     assert rep.witness.n == 12
     assert verify_certificate(rep).valid
+
+
+def test_search_gallai_c5_three_colors_exhausts_at_seventeen(monkeypatch):
+    # gr_3(K_3 : C_5) = 2^4 + 1 (Fujita & Magnant 2011); the exhaustion at 17
+    # stores every class of levels 2..16, counted here from the accepts
+    add = _ClassStore.add
+    reps = []
+
+    def recording_add(self, masks, ell):
+        kept = add(self, masks, ell)
+        if kept:
+            reps.append(([row[:ell] for row in masks], ell))
+        return kept
+
+    monkeypatch.setattr(_ClassStore, "add", recording_add)
+    rep = search_gallai_ramsey(5, 3, limit_overrides={3: 17})
+    assert rep.value == 17 == rep.lower == rep.upper == gallai_ramsey_formula(5, 3)
+    # the 16-vertex doubled construction settles orders 1..16; only n=17 is searched
+    assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (5066, 2167, 2899)
+    assert verify_certificate(rep).valid
+    levels = range(2, 17)
+    assert [sum(ell == level for _, ell in reps) for level in levels] == [
+        1, 2, 8, 23, 70, 150, 254, 331, 403, 377, 295, 154, 74, 18, 7,
+    ]
+    monkeypatch.setattr(_ClassStore, "add", add)
+    assert [
+        _vertex_class_count([r for r in reps if r[1] == level], [(1, 2, 3)]) for level in levels
+    ] == [3, 9, 39, 132, 405, 891, 1497, 1980, 2388, 2262, 1734, 921, 432, 108, 33]
 
 
 def test_search_ramsey_partial_prefers_construction_witness():
