@@ -219,13 +219,14 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.report, "r", encoding="utf-8") as fh:
         d = json.load(fh)
-    witness = None
+    report = search.SearchReport.from_json_dict(d)
     wfile = d.get("witness_file")
+    if wfile is not None and type(wfile) is not str:
+        raise ValueError(f"report field 'witness_file' is {wfile!r}, not str or null")
     if wfile:
         if not os.path.isabs(wfile):
             wfile = os.path.join(os.path.dirname(os.path.abspath(args.report)), wfile)
-        witness = _read_coloring(wfile)
-    report = search.SearchReport.from_json_dict(d, witness)
+        report.witness = _read_coloring(wfile)
     check = search.verify_certificate(report)
     payload: dict = {"valid": check.valid}
     if not check.valid:

@@ -5,6 +5,13 @@ vertex, and witness vertex lists are canonicalized (cycles start at their
 minimum vertex, and the lexicographically smaller orientation wins) so that
 equal inputs give byte-equal output.  ``validate_witness`` recomputes each
 claim directly on the host graph and is the final word on correctness.
+
+Exact-length cycles and paths have one engine, the path-end table
+``_PathEnds`` defined here, which the search's edge-time cycle test reads
+too.  A table settles whether some simple path of a given length runs from
+a vertex to a target set; ``_first_path`` then recovers the
+lexicographically first such path, and both ``find_mono_cycle`` and
+``find_mono_path`` are built on it.
 """
 
 from __future__ import annotations
@@ -58,80 +65,103 @@ def canonical_path(vs: Sequence[int]) -> tuple[int, ...]:
 # -- exact-length searches ---------------------------------------------------
 
 
-def _exact_cycle_from(masks: Sequence[int], anchor: int, m: int, universe: int) -> list[int] | None:
-    """A cycle of exactly m vertices through ``anchor`` with the others in ``universe``.
+class _PathEnds:
+    """The path-end table of one color class inside ``universe``, filled on demand.
 
-    Depth-first over simple paths, pruned by an exact-steps reachability cut:
-    from the current endpoint there must be a walk of the remaining length
-    through unvisited vertices that lands on a neighbor of the anchor.  The
-    cut respects parity, so bipartite classes die at the root for odd m.
+    Row u is every w at the far end of a simple path from u with m - 2 edges
+    inside ``universe``, so an edge {u, x} with x outside closes a C_m exactly
+    when row u meets x's neighbors.  ``ends[u]`` holds the ends found so far
+    and ``ruled_out[u]`` the vertices shown not to be ends; the relation is
+    symmetric, so each finding is stored both ways.  For m = 3 the rows are
+    the adjacency rows themselves and nothing is left to find.
     """
-    abit = 1 << anchor
-    path = [anchor]
-    state = {"visited": abit}
 
-    def rec() -> bool:
-        last = path[-1]
-        d = len(path)
-        if d == m:
-            return bool(masks[last] & abit)
-        avail = universe & ~state["visited"]
-        if avail.bit_count() < m - d:
+    __slots__ = ("masks", "universe", "m", "ends", "ruled_out")
+
+    def __init__(self, masks: Sequence[int], universe: int, m: int):
+        self.masks = masks
+        self.universe = universe
+        self.m = m
+        if m == 3:
+            self.ends = masks
+            self.ruled_out = [-1] * len(masks)
+        else:
+            self.ends = [0] * len(masks)
+            self.ruled_out = [0] * len(masks)
+
+    def closes(self, u: int, targets: int) -> bool:
+        """Does row u meet ``targets``, a set of vertices in ``universe``?
+
+        Rows are only filled as far as questions need: a depth-first search
+        from u over simple paths, stopped at the first target it reaches.
+        """
+        ends = self.ends
+        if targets & ends[u]:
+            return True
+        targets &= ~self.ruled_out[u]
+        if not targets:
             return False
-        y = 1 << last
-        for _ in range(m - d):
-            y = row_union(masks, y) & avail
-            if not y:
-                return False
-        if not (row_union(masks, y) & abit):
+        masks, universe = self.masks, self.universe
+        bu = 1 << u
+
+        def grow(x: int, seen: int, left: int) -> bool:
+            avail = universe & ~seen
+            cand = masks[x] & avail
+            if left == 2:
+                # a neighbor's neighbor is never the neighbor itself
+                found = row_union(masks, cand) & avail
+                new = found & ~ends[u]
+                if new:
+                    ends[u] |= new
+                    for w in bits(new):
+                        ends[w] |= bu
+                return bool(found & targets)
+            if left > 3:
+                # exact-steps walk cut: a walk of the remaining length must end
+                # on a target (with three edges left it costs what it saves)
+                reach = cand
+                for _ in range(left - 1):
+                    reach = row_union(masks, reach) & avail
+                if not reach & targets:
+                    return False
+            for y in bits(cand):
+                if grow(y, seen | 1 << y, left - 1):
+                    return True
             return False
-        for u in bits(masks[last] & avail):
-            path.append(u)
-            state["visited"] |= 1 << u
-            if rec():
-                return True
-            path.pop()
-            state["visited"] ^= 1 << u
+
+        if grow(u, bu, self.m - 2):
+            return True
+        self.ruled_out[u] |= targets
+        for w in bits(targets):
+            self.ruled_out[w] |= bu
         return False
 
-    return list(path) if rec() else None
 
+def _first_path(
+    masks: Sequence[int], x: int, edges: int, universe: int, targets: int
+) -> list[int] | None:
+    """The lexicographically first simple path from x with ``edges`` edges, or None.
 
-def _exact_path_search(masks: Sequence[int], n: int, p: int, universe: int) -> list[int] | None:
-    """A simple path of exactly p vertices inside ``universe``, or None."""
-    if p < 1 or p > universe.bit_count():
+    Its other vertices lie in ``universe`` (x need not) and its last one in
+    ``targets``, a subset of ``universe``.  When x's component has room for
+    the path, one path-end table settles whether it exists; only then is it
+    recovered, one vertex at a time: the lowest neighbor from which a fresh
+    table still finds the rest of it.
+    """
+    if closure(masks, 1 << x, universe | 1 << x).bit_count() <= edges:
         return None
-    if p == 1:
-        return [(universe & -universe).bit_length() - 1]
-    for s in bits(universe):
-        comp = closure(masks, 1 << s, universe)
-        if comp.bit_count() < p:
-            continue
-        path = [s]
-        state = {"visited": 1 << s}
-
-        def rec() -> bool:
-            if len(path) == p:
-                return True
-            last = path[-1]
-            avail = universe & ~state["visited"]
-            cand = masks[last] & avail
-            if not cand:
-                return False
-            if closure(masks, cand, avail).bit_count() < p - len(path):
-                return False
-            for u in bits(cand):
-                path.append(u)
-                state["visited"] |= 1 << u
-                if rec():
-                    return True
-                path.pop()
-                state["visited"] ^= 1 << u
-            return False
-
-        if rec():
-            return path
-    return None
+    if not _PathEnds(masks, universe, edges + 2).closes(x, targets):
+        return None
+    path = [x]
+    avail = universe & ~(1 << x)
+    for left in range(edges - 1, 0, -1):
+        table = _PathEnds(masks, avail, left + 2)
+        y = next(y for y in bits(masks[path[-1]] & avail) if table.closes(y, targets & avail))
+        path.append(y)
+        avail ^= 1 << y
+    last = masks[path[-1]] & avail & targets
+    path.append((last & -last).bit_length() - 1)
+    return path
 
 
 # -- detectors ---------------------------------------------------------------
@@ -154,38 +184,48 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Witness | None:
     return None
 
 
+def _check_color(g: ColoredCompleteGraph, color: int) -> None:
+    if not 1 <= color <= g.k:
+        raise ValueError(f"color {color} outside palette 1..{g.k}")
+
+
 def find_mono_cycle(g: ColoredCompleteGraph, color: int, m: int) -> Witness | None:
-    """A cycle of exactly m vertices inside one color class, or None."""
+    """A cycle of exactly m vertices inside one color class, or None.
+
+    Anchor s is the cycle's least vertex: a path of m - 1 edges from s through
+    the vertices above it, back to a neighbor of s, so s is at most n - m.
+    """
+    _check_color(g, color)
     if m < 3:
         raise ValueError(f"cycle order {m} must be at least 3")
-    if m > g.n:
-        return None
     masks = g.class_masks(color)
     full = (1 << g.n) - 1
-    for s in range(g.n):
+    for s in range(g.n - m + 1):
         upper = full & ~((1 << (s + 1)) - 1)
-        comp = closure(masks, 1 << s, upper | (1 << s))
-        if comp.bit_count() < m:
-            continue
-        found = _exact_cycle_from(masks, s, m, upper)
+        found = _first_path(masks, s, m - 1, upper, masks[s] & upper)
         if found is not None:
             return Witness(MONO_CYCLE, canonical_cycle(found), color)
     return None
 
 
+def _exact_path(masks: Sequence[int], n: int, p: int, color: int | None) -> Witness | None:
+    """The lexicographically first path on exactly p >= 2 of n vertices, as a witness, or None."""
+    full = (1 << n) - 1
+    for s in range(n):
+        found = _first_path(masks, s, p - 1, full, full)
+        if found is not None:
+            return Witness(MONO_PATH, canonical_path(found), color)
+    return None
+
+
 def find_mono_path(g: ColoredCompleteGraph, color: int, p: int) -> Witness | None:
     """A path of exactly p vertices inside one color class, or None."""
+    _check_color(g, color)
     if p < 1:
         raise ValueError(f"path order {p} must be at least 1")
-    if p > g.n:
-        return None
     if p == 1:
         return Witness(MONO_PATH, (0,), color)
-    masks = g.class_masks(color)
-    found = _exact_path_search(masks, g.n, p, (1 << g.n) - 1)
-    if found is None:
-        return None
-    return Witness(MONO_PATH, canonical_path(found), color)
+    return _exact_path(g.class_masks(color), g.n, p, color)
 
 
 # -- constructive engines ----------------------------------------------------
@@ -313,10 +353,7 @@ def erdos_gallai_path(h: BitGraph, k_edges: int, color: int | None = None) -> Wi
         active &= ~comp
     if guaranteed:  # pragma: no cover - the reduction always produces a path
         raise AssertionError("edge bound held but no path was produced")
-    found = _exact_path_search(masks, n, target, (1 << n) - 1)
-    if found is None:
-        return None
-    return Witness(MONO_PATH, canonical_path(found), color)
+    return _exact_path(masks, n, target, color)
 
 
 def colored_path_split(
@@ -383,10 +420,12 @@ def validate_witness(host, w: Witness) -> bool:
     if any(not 0 <= v < host.n for v in vs):
         return False
     colored = isinstance(host, ColoredCompleteGraph)
+    if colored and w.kind in (MONO_CYCLE, MONO_PATH) and w.color not in range(1, host.k + 1):
+        return False
 
     def edge_ok(u: int, v: int) -> bool:
         if colored:
-            return w.color is not None and host.color_of(u, v) == w.color
+            return host.color_of(u, v) == w.color
         return host.has_edge(u, v)
 
     if w.kind == RAINBOW_TRIANGLE:

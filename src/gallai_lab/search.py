@@ -5,14 +5,15 @@ all earlier vertices).  Before an edge takes a color, the search looks for a
 rainbow triangle or a forbidden cycle through that edge among the edges
 already colored.  Every cycle through a vertex is caught at its last-colored
 edge there, so each completed vector is free of them; a node is one such
-cycle-free vector.  The cycle test reads a path-end table: while vertex v's
-vector is assigned, vertices 0..v-1 keep their colors, so for each color the
-search keeps, per vertex u, the far ends of the simple paths from u with
-m - 2 edges among them.  Edge {u, v} closes a C_m exactly when u's row meets
-v's earlier neighbors in that color.  Rows are filled on demand, by a
-depth-first search that stops at the first end asked about, and remember
-both the ends found and the vertices ruled out, so no pair of vertices is
-settled twice at one prefix.
+cycle-free vector.  The cycle test reads a path-end table
+(``detectors._PathEnds``, the one exact-path kernel, which the cycle and
+path detectors share): while vertex v's vector is assigned, vertices
+0..v-1 keep their colors, so for each color the search keeps, per vertex u,
+the far ends of the simple paths from u with m - 2 edges among them.  Edge
+{u, v} closes a C_m exactly when u's row meets v's earlier neighbors in that
+color.  Rows are filled on demand, by a depth-first search that stops at the
+first end asked about, and remember both the ends found and the vertices
+ruled out, so no pair of vertices is settled twice at one prefix.
 
 Each class of partial colorings is expanded once, by one rule: the search
 keeps a store of the classes it has seen.  Two colorings share a class when
@@ -42,7 +43,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .coloring import ColoredCompleteGraph, bits, row_union
+from .coloring import ColoredCompleteGraph
 from .constructions import (
     build_extremal_odd,
     build_ramsey_cycle_lower,
@@ -53,6 +54,7 @@ from .constructions import (
 from .detectors import (
     RAINBOW_TRIANGLE,
     Witness,
+    _PathEnds,
     find_mono_cycle,
     find_rainbow_triangle,
 )
@@ -318,78 +320,6 @@ class _ClassStore:
         return True
 
 
-class _PathEnds:
-    """The path-end table of one color class inside ``universe``, filled on demand.
-
-    Row u is every w at the far end of a simple path from u with m - 2 edges
-    inside ``universe``, so an edge {u, x} with x outside closes a C_m exactly
-    when row u meets x's neighbors.  ``ends[u]`` holds the ends found so far
-    and ``ruled_out[u]`` the vertices shown not to be ends; the relation is
-    symmetric, so each finding is stored both ways.  For m = 3 the rows are
-    the adjacency rows themselves and nothing is left to find.
-    """
-
-    __slots__ = ("masks", "universe", "m", "ends", "ruled_out")
-
-    def __init__(self, masks: Sequence[int], universe: int, m: int):
-        self.masks = masks
-        self.universe = universe
-        self.m = m
-        if m == 3:
-            self.ends = masks
-            self.ruled_out = [-1] * len(masks)
-        else:
-            self.ends = [0] * len(masks)
-            self.ruled_out = [0] * len(masks)
-
-    def closes(self, u: int, targets: int) -> bool:
-        """Does row u meet ``targets``, a set of vertices in ``universe``?
-
-        Rows are only filled as far as questions need: a depth-first search
-        from u over simple paths, stopped at the first target it reaches.
-        """
-        ends = self.ends
-        if targets & ends[u]:
-            return True
-        targets &= ~self.ruled_out[u]
-        if not targets:
-            return False
-        masks, universe = self.masks, self.universe
-        bu = 1 << u
-
-        def grow(x: int, seen: int, left: int) -> bool:
-            avail = universe & ~seen
-            cand = masks[x] & avail
-            if left == 2:
-                # a neighbor's neighbor is never the neighbor itself
-                found = row_union(masks, cand) & avail
-                new = found & ~ends[u]
-                if new:
-                    ends[u] |= new
-                    for w in bits(new):
-                        ends[w] |= bu
-                return bool(found & targets)
-            if left > 3:
-                # exact-steps walk cut: a walk of the remaining length must end
-                # on a target (with three edges left it costs what it saves)
-                reach = cand
-                for _ in range(left - 1):
-                    reach = row_union(masks, reach) & avail
-                if not reach & targets:
-                    return False
-            for y in bits(cand):
-                if grow(y, seen | 1 << y, left - 1):
-                    return True
-            return False
-
-        if grow(u, bu, self.m - 2):
-            return True
-        self.ruled_out[u] |= targets
-        for w in bits(targets):
-            self.ruled_out[w] |= bu
-        return False
-
-
 def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int,
                      triangles: list | None = None) -> list:
     """Per color c (index 0 unused), the path-end table of the coloring on 0..v-1.
@@ -610,6 +540,17 @@ def enumerate_avoiding(
 # -- threshold searches ---------------------------------------------------------
 
 
+def _field(d: dict, key: str, kind: type, nullable: bool = False):
+    """``d[key]``, which must be there and of type ``kind`` (or null when ``nullable``)."""
+    if key not in d:
+        raise ValueError(f"report has no {key!r} field")
+    v = d[key]
+    if type(v) is not kind and not (nullable and v is None):
+        wanted = kind.__name__ + " or null" * nullable
+        raise ValueError(f"report field {key!r} is {v!r}, not {wanted}")
+    return v
+
+
 @dataclass
 class SearchReport:
     family: str
@@ -638,14 +579,22 @@ class SearchReport:
     def from_json_dict(
         cls, d: dict, witness: ColoredCompleteGraph | None = None
     ) -> "SearchReport":
+        """Read a report; a missing or mistyped field raises ValueError."""
+        if type(d) is not dict:
+            raise ValueError("a report is a JSON object")
+        stats = d.get("stats", {})
+        if (type(stats) is not dict or not stats.keys() <= SearchStats.__dataclass_fields__.keys()
+                or any(type(x) is not int for x in stats.values())):
+            raise ValueError(
+                f"report stats {stats!r} must map nodes, canonical, rejected, ms to integers")
         return cls(
-            family=d["family"],
-            params=d["params"],
-            value=d["value"],
-            lower=d["lower"],
-            upper=d["upper"],
+            family=_field(d, "family", str),
+            params=_field(d, "params", dict),
+            value=_field(d, "value", int, nullable=True),
+            lower=_field(d, "lower", int),
+            upper=_field(d, "upper", int, nullable=True),
             witness=witness,
-            stats=SearchStats(**d.get("stats", {})),
+            stats=SearchStats(**stats),
         )
 
 
@@ -663,14 +612,23 @@ def reports_equivalent(a: SearchReport, b: SearchReport) -> bool:
     )
 
 
+# each family's parameters, with their least values
+_FAMILY_PARAMS = {"Ramsey": {"m": 3, "n": 3}, "GallaiRamsey": {"m": 3, "k": 1}}
+
+
 def _family_problem(family: str, params: dict) -> tuple[int, tuple[int, ...], bool]:
     """A report family's palette, forbidden cycle order per color, and rainbow rule."""
+    if family not in _FAMILY_PARAMS:
+        raise BadParameters(f"unknown family {family!r}")
+    for key, least in _FAMILY_PARAMS[family].items():
+        v = params.get(key)
+        if type(v) is not int or v < least:
+            raise BadParameters(
+                f"{family} params need an integer {key!r} of at least {least}, not {v!r}")
     if family == "Ramsey":
         return 2, (params["m"], params["n"]), False
-    if family == "GallaiRamsey":
-        k = params["k"]
-        return k, (params["m"],) * k, k >= 3
-    raise BadParameters(f"unknown family {family!r}")
+    k = params["k"]
+    return k, (params["m"],) * k, k >= 3
 
 
 def _violation(g: ColoredCompleteGraph, forbidden: Sequence[int], rainbow: bool) -> Witness | None:

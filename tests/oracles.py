@@ -120,6 +120,34 @@ def path_exists_dfs(masks: Sequence[int], n: int, edges: int) -> bool:
     return any(grow(s, 1 << s, 1) for s in range(n))
 
 
+# -- the lexicographically first cycle or path (plain DFS) ----------------------------
+
+
+def first_sequence_bruteforce(
+    masks: Sequence[int], n: int, length: int, closed: bool
+) -> tuple[int, ...] | None:
+    """The least sequence of ``length`` distinct vertices along edges of ``masks``.
+
+    Consecutive vertices must be adjacent, and with ``closed`` the last and
+    the first too (a cycle).  Plain depth-first extension in increasing
+    vertex order with no cut, so the first sequence reached is the least.
+    Its reversal (and, for a cycle, each rotation) is another such sequence,
+    so the least one is already in canonical form.
+    """
+
+    def grow(seq: tuple[int, ...]) -> tuple[int, ...] | None:
+        if len(seq) == length:
+            return seq if not closed or (masks[seq[-1]] >> seq[0]) & 1 else None
+        for v in range(n):
+            if v not in seq and (not seq or (masks[seq[-1]] >> v) & 1):
+                found = grow(seq + (v,))
+                if found is not None:
+                    return found
+        return None
+
+    return grow(())
+
+
 # -- rainbow triangles by triple enumeration ----------------------------------------
 
 

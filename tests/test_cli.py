@@ -239,6 +239,40 @@ def test_verify_catches_tampered_report(tmp_path, capsys):
     assert json.loads(out)["valid"] is False
 
 
+def _bent_report(tmp_path, capsys, bend) -> str:
+    report = tmp_path / "r.json"
+    run(capsys, "search", "ramsey", "--m", "4", "--n", "4", "-o", str(report))
+    payload = json.loads(report.read_text())
+    bend(payload)
+    report.write_text(json.dumps(payload))
+    return str(report)
+
+
+@pytest.mark.parametrize("bend", [
+    lambda d: d.pop("family"),
+    lambda d: d.update(lower="7"),
+    lambda d: d["stats"].update(bogus=1),
+    lambda d: d.update(stats=[]),
+    lambda d: d.update(witness_file=3),
+], ids=["no-family", "string-lower", "unknown-stats-key", "stats-list", "numeric-witness-file"])
+def test_verify_malformed_report_exits_2_with_one_line(tmp_path, capsys, bend):
+    path = _bent_report(tmp_path, capsys, bend)
+    code = main(["verify", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("gallai-lab: ")
+
+
+def test_verify_params_missing_a_family_key_fail_the_certificate(tmp_path, capsys):
+    path = _bent_report(tmp_path, capsys, lambda d: d.update(params={"m": 5}))
+    code, out = run(capsys, "verify", path)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["valid"] is False and "'n'" in payload["reason"]
+
+
 def test_search_gallai_partial_via_cli(tmp_path, capsys):
     report = tmp_path / "g.json"
     code, _ = run(capsys, "search", "gallai", "--m", "7", "--k", "3",

@@ -13,6 +13,7 @@ from gallai_lab.detectors import (
     MONO_PATH,
     RAINBOW_TRIANGLE,
     Witness,
+    _PathEnds,
     canonical_cycle,
     canonical_path,
     colored_path_split,
@@ -24,11 +25,12 @@ from gallai_lab.detectors import (
     validate_witness,
 )
 from gallai_lab.errors import DegreePreconditionFailed, DiracPreconditionFailed
-from gallai_lab.search import _PathEnds, _path_end_tables
+from gallai_lab.search import _path_end_tables
 
 from oracles import (
     cycle_exists_dp,
     cycle_through_edge_bruteforce,
+    first_sequence_bruteforce,
     path_exists_dfs,
     rainbow_triangles_bruteforce,
     random_bitgraph,
@@ -186,8 +188,10 @@ def test_mono_cycle_edge_cases():
     assert w is not None and w.vertices == (0, 1, 2, 3, 4, 5)
     with pytest.raises(ValueError):
         find_mono_cycle(g, 1, 2)
-    with pytest.raises(ValueError):
-        find_mono_cycle(g, 3, 3)
+    # the palette is checked before any early answer
+    for color, m in ((3, 3), (7, 3), (7, 7), (0, 5)):
+        with pytest.raises(ValueError):
+            find_mono_cycle(g, color, m)
 
 
 def test_mono_cycle_odd_length_in_bipartite_class_is_fast_no():
@@ -240,6 +244,43 @@ def test_mono_path_trivial_orders():
     assert w is not None and w.vertices == (0,)
     with pytest.raises(ValueError):
         find_mono_path(g, 1, 0)
+    # the palette is checked before any early answer
+    for color, p in ((7, 1), (0, 1), (3, 4)):
+        with pytest.raises(ValueError):
+            find_mono_path(g, color, p)
+
+
+def test_witnesses_are_the_lexicographically_first():
+    # byte-stable output: each detector returns the least vertex sequence
+    # (in canonical form) that the brute force finds, not just some witness
+    rng = random.Random(22)
+    found = fallbacks = 0
+    for _ in range(300):
+        n = rng.randint(3, 8)
+        k = rng.randint(1, 3)
+        g = random_coloring(rng, n, k)
+        c = rng.randint(1, k)
+        masks = g.class_masks(c)
+        m = rng.randint(3, n)
+        first = first_sequence_bruteforce(masks, n, m, closed=True)
+        w = find_mono_cycle(g, c, m)
+        assert (None if w is None else w.vertices) == first
+        assert first is None or canonical_cycle(first) == first
+        p = rng.randint(1, n)
+        first = first_sequence_bruteforce(masks, n, p, closed=False)
+        w = find_mono_path(g, c, p)
+        assert (None if w is None else w.vertices) == first
+        assert first is None or canonical_path(first) == first
+        found += w is not None
+        h = g.color_class(c)
+        edges = rng.randint(1, n)
+        if sum(h.degree(v) for v in range(n)) <= (edges - 1) * n:
+            # below the Erdos-Gallai edge bound: the exact-search fallback
+            fallbacks += 1
+            first = first_sequence_bruteforce(masks, n, edges + 1, closed=False)
+            w = erdos_gallai_path(h, edges, c)
+            assert (None if w is None else w.vertices) == first
+    assert found > 100 and fallbacks > 100
 
 
 # -- Dirac engine ----------------------------------------------------------------
@@ -353,6 +394,10 @@ def test_validate_witness_rejects_forgeries():
     assert not validate_witness(g, Witness(MONO_CYCLE, (0, 1, 9), 1))      # range
     assert not validate_witness(g, Witness(MONO_CYCLE, (0, 1), 1))         # too short
     assert not validate_witness(g, Witness(MONO_PATH, (), 1))              # empty
+    assert validate_witness(g, Witness(MONO_PATH, (0,), 2))
+    assert not validate_witness(g, Witness(MONO_PATH, (0,), 7))            # outside palette
+    assert not validate_witness(g, Witness(MONO_PATH, (0,), 0))
+    assert not validate_witness(g, Witness(MONO_PATH, (0,), None))
     assert not validate_witness(g, Witness("Nonsense", (0, 1, 2), 1))
 
 
