@@ -168,19 +168,35 @@ def _first_path(
 
 
 def find_rainbow_triangle(g: ColoredCompleteGraph) -> Witness | None:
-    """First triangle (lex order) whose three edges have three distinct colors."""
-    if g.k < 3 or g.n < 3:
-        return None
+    """First triangle (lex order) whose three edges have three distinct colors.
+
+    One bitset test per pair u < v.  With c the color of uv and M_d[x] the
+    color-d row of x, a third vertex w > v closes a rainbow triangle exactly
+    when w lies outside M_c[u] | M_c[v] | (M_d[u] & M_d[v] over every d).
+    The least v with such a w, for the least u, and then its lowest w give
+    the lexicographically first triangle.  Only colors that meet u can be
+    shared by uw and vw, and a vertex met by fewer than two colors lies on
+    no rainbow triangle.
+    """
     n = g.n
+    if g.k < 3 or n < 3:
+        return None
+    rows = [g.class_masks(d) for d in range(1, g.k + 1)]
+    colors = g.edge_colors()
     full = (1 << n) - 1
+    above = [full ^ ((2 << v) - 1) for v in range(n)]
     for u in range(n - 2):
+        at_u = [(r, r[u]) for r in rows if r[u]]
+        if len(at_u) < 2:
+            continue
         for v in range(u + 1, n - 1):
-            c = g.color_of(u, v)
-            cand = full & ~((1 << (v + 1)) - 1)
-            cand &= ~g.class_mask_row(c, u) & ~g.class_mask_row(c, v)
-            for w in bits(cand):
-                if g.color_of(u, w) != g.color_of(v, w):
-                    return Witness(RAINBOW_TRIANGLE, (u, v, w))
+            rc = rows[colors[v * (v - 1) // 2 + u] - 1]
+            shared = rc[u] | rc[v]
+            for r, x in at_u:
+                shared |= x & r[v]
+            cand = above[v] & ~shared
+            if cand:
+                return Witness(RAINBOW_TRIANGLE, (u, v, (cand & -cand).bit_length() - 1))
     return None
 
 
@@ -412,7 +428,8 @@ def validate_witness(host, w: Witness) -> bool:
     """Recompute a witness claim directly on the host graph.
 
     ``host`` is a ColoredCompleteGraph for color-aware kinds; HamiltonCycle
-    (and color-free cycle/path checks) accept any BitGraph.
+    (and color-free cycle/path checks) accept any BitGraph.  RainbowTriangle
+    and HamiltonCycle witnesses carry no color; one that names a color fails.
     """
     vs = list(w.vertices)
     if len(set(vs)) != len(vs):
@@ -421,6 +438,8 @@ def validate_witness(host, w: Witness) -> bool:
         return False
     colored = isinstance(host, ColoredCompleteGraph)
     if colored and w.kind in (MONO_CYCLE, MONO_PATH) and w.color not in range(1, host.k + 1):
+        return False
+    if w.kind in (RAINBOW_TRIANGLE, HAMILTON_CYCLE) and w.color is not None:
         return False
 
     def edge_ok(u: int, v: int) -> bool:

@@ -19,6 +19,7 @@ from .coloring import (
     VertexSubset,
     closure,
     induced,
+    pair_index,
     relabel,
     row_union,
     substitute,
@@ -179,21 +180,32 @@ def _candidate_blocks(g: ColoredCompleteGraph, cand: tuple[int, ...]) -> list[in
     return blocks
 
 
-def _block_pair_color(g: ColoredCompleteGraph, bi: int, bj: int) -> int:
+def _block_pair_color(colors: Sequence[int], bi: int, bj: int) -> int:
+    """The color between the least vertices of two disjoint blocks.
+
+    ``colors`` is the host's flat triangular store (``edge_colors()``).
+    """
     u = (bi & -bi).bit_length() - 1
     v = (bj & -bj).bit_length() - 1
-    return g.color_of(u, v)
+    return colors[pair_index(u, v)]
 
 
-def _greedy_merge(g: ColoredCompleteGraph, blocks: list[int]) -> list[int]:
-    """Merge block pairs while the split stays valid (never below 2 parts)."""
+def _greedy_merge(colors: Sequence[int], blocks: list[int]) -> list[int]:
+    """Merge block pairs while the split stays valid (never below 2 parts).
+
+    Blocks stay sorted by least vertex.  A pair merges only when every other
+    block sees both in one color, so the merged block keeps the first one's
+    place and its row of the pair-color table, and the second one's row and
+    column are dropped.
+    """
     blocks = sorted(blocks, key=lambda m: (m & -m))
+    t = len(blocks)
+    pc = [[0] * t for _ in range(t)]
+    for j in range(1, t):
+        for i in range(j):
+            pc[i][j] = pc[j][i] = _block_pair_color(colors, blocks[i], blocks[j])
     while len(blocks) > 2:
         t = len(blocks)
-        pc = [[0] * t for _ in range(t)]
-        for j in range(1, t):
-            for i in range(j):
-                pc[i][j] = pc[j][i] = _block_pair_color(g, blocks[i], blocks[j])
         pick = None
         for i in range(t - 1):
             for j in range(i + 1, t):
@@ -205,15 +217,16 @@ def _greedy_merge(g: ColoredCompleteGraph, blocks: list[int]) -> list[int]:
         if pick is None:
             break
         i, j = pick
-        merged = blocks[i] | blocks[j]
-        blocks = sorted(
-            [b for z, b in enumerate(blocks) if z != i and z != j] + [merged],
-            key=lambda m: (m & -m),
-        )
+        blocks[i] |= blocks.pop(j)
+        del pc[j]
+        for row in pc:
+            del row[j]
     return blocks
 
 
-def _assemble(g: ColoredCompleteGraph, blocks: list[int]) -> GallaiPartition | None:
+def _assemble(
+    g: ColoredCompleteGraph, colors: Sequence[int], blocks: list[int]
+) -> GallaiPartition | None:
     ordered = sorted(blocks, key=lambda m: (-m.bit_count(), (m & -m)))
     parts = tuple(VertexSubset(g.n, m) for m in ordered)
     t = len(parts)
@@ -221,7 +234,7 @@ def _assemble(g: ColoredCompleteGraph, blocks: list[int]) -> GallaiPartition | N
     used = set()
     for j in range(1, t):
         for i in range(j):
-            c = _block_pair_color(g, parts[i].mask, parts[j].mask)
+            c = _block_pair_color(colors, parts[i].mask, parts[j].mask)
             pair_colors.append((i, j, c))
             used.add(c)
     if len(used) > 2:
@@ -243,6 +256,7 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     rw = find_rainbow_triangle(g)
     if rw is not None:
         raise NotGallai(rw)
+    colors = g.edge_colors()
     used = sorted(g.colors_used())
     candidates: list[tuple[int, ...]] = [(c,) for c in used]
     candidates += [(a, b) for i, a in enumerate(used) for b in used[i + 1 :]]
@@ -252,8 +266,8 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
         if blocks is None:
             continue
         if coarsest:
-            blocks = _greedy_merge(g, blocks)
-        part = _assemble(g, blocks)
+            blocks = _greedy_merge(colors, blocks)
+        part = _assemble(g, colors, blocks)
         if part is None:
             continue
         if best is None or len(part.parts) < len(best.parts):

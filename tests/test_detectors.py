@@ -7,6 +7,7 @@ import random
 import pytest
 
 from gallai_lab.coloring import BitGraph, ColoredCompleteGraph, complete_monochromatic
+from gallai_lab.constructions import build_extremal_odd, random_gallai
 from gallai_lab.detectors import (
     HAMILTON_CYCLE,
     MONO_CYCLE,
@@ -76,6 +77,42 @@ def test_rainbow_matches_triple_enumeration():
             assert w is not None and w.kind == RAINBOW_TRIANGLE
             assert w.vertices == min(all_triples)
             assert validate_witness(g, w)
+
+
+def test_rainbow_first_witness_at_64_vertices():
+    # Uniform random colorings put the first rainbow triangle on vertices
+    # 0..3; Gallai hosts with a few recolored edges put it anywhere.
+    rng = random.Random(12)
+    hosts = [build_extremal_odd(2, 5)[0]]
+    for k in (3, 4, 5):
+        g = random_gallai(64, k, rng.randrange(2**32))
+        flat = list(g.edge_colors())
+        for _ in range(rng.randint(1, 3)):
+            flat[rng.randrange(len(flat))] = rng.randint(1, k)
+        hosts += [g, ColoredCompleteGraph(64, k, flat)]
+    found = []
+    for g in hosts:
+        all_triples = rainbow_triangles_bruteforce(g)
+        w = find_rainbow_triangle(g)
+        if not all_triples:
+            assert w is None
+        else:
+            assert w is not None and w.vertices == min(all_triples)
+            assert validate_witness(g, w)
+            found.append(w.vertices)
+    assert found and max(max(t) for t in found) > 3
+
+
+def test_rainbow_small_orders_and_unused_colors():
+    assert find_rainbow_triangle(ColoredCompleteGraph(1, 3, [])) is None
+    assert find_rainbow_triangle(ColoredCompleteGraph(2, 3, [2])) is None
+    assert find_rainbow_triangle(ColoredCompleteGraph(3, 3, [1, 2, 3])).vertices == (0, 1, 2)
+    assert find_rainbow_triangle(ColoredCompleteGraph(3, 3, [1, 2, 2])) is None
+    rng = random.Random(13)
+    for n in (3, 8, 20, 64):
+        # a palette of six that draws on two of its colors
+        two = [rng.choice((2, 5)) for _ in range(n * (n - 1) // 2)]
+        assert find_rainbow_triangle(ColoredCompleteGraph(n, 6, two)) is None
 
 
 def test_rainbow_none_on_two_colors():
@@ -406,11 +443,13 @@ def test_validate_witness_rainbow():
     assert validate_witness(g, Witness(RAINBOW_TRIANGLE, (0, 1, 2)))
     g2 = ColoredCompleteGraph(3, 3, [1, 2, 2])
     assert not validate_witness(g2, Witness(RAINBOW_TRIANGLE, (0, 1, 2)))
+    assert not validate_witness(g, Witness(RAINBOW_TRIANGLE, (0, 1, 2), 7))  # color-free kind
 
 
 def test_validate_witness_hamilton_needs_spanning_cycle():
     h = BitGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert validate_witness(h, Witness(HAMILTON_CYCLE, (0, 1, 2, 3)))
+    assert not validate_witness(h, Witness(HAMILTON_CYCLE, (0, 1, 2, 3), 5))  # color-free kind
     assert not validate_witness(h, Witness(HAMILTON_CYCLE, (0, 1, 2)))
     assert not validate_witness(h, Witness(HAMILTON_CYCLE, (0, 2, 1, 3)))
 
