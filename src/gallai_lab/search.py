@@ -22,13 +22,16 @@ lengths turn one into the other; such a renaming keeps every constraint,
 the rainbow rule included.  The store names a coloring's colors in order of
 class size, and its bucket is the trace of that palette image's color-degree
 refinement (McKay & Piperno 2014).  It is new when no image stored in that
-bucket is isomorphic to it (individualization plus refinement, checked row
-by row).  The class member kept is its min-image, the one no relabeling and
-renaming turns into a lexicographically smaller color word: vectors that
-cannot be min-images are cut while they are assigned (``_Search._assign``),
-as in orderly generation (Read 1978; McKay 1998), and each level is visited
-in word order, so the first member of a class to reach the store is its
-min-image.
+bucket is isomorphic to it: individualization plus refinement until every
+cell is a twin module, whose vertices see each outside vertex and each
+other in one color.  Any permutation inside such cells is an automorphism,
+so one bijection that keeps the cells, checked row by row, then decides
+the test exactly.  The class member kept is its min-image, the one no
+relabeling and renaming turns into a lexicographically smaller color word:
+vectors that cannot be min-images are cut while they are assigned
+(``_Search._assign``), as in orderly generation (Read 1978; McKay 1998),
+and each level is visited in word order, so the first member of a class to
+reach the store is its min-image.
 
 One depth-first search covers an order, and a node budget caps the nodes it
 expands.
@@ -210,23 +213,58 @@ def _refine(rows: list[list[int]], cells: list[int], targets: list[int]) -> tupl
     return cells, trace
 
 
+def _twin_module(rows: list[list[int]], cell: int) -> bool:
+    """Do the cell's vertices see each vertex outside it, and each other, in one color?
+
+    Then every permutation of the cell is an automorphism.  ``rows`` holds
+    the adjacency bitsets of colors 1..k-1; color k follows.  For each color
+    the first vertex x of the cell sets the pattern: when x sees the cell in
+    that color, every vertex's row plus itself equals x's row plus x, and
+    otherwise every vertex's row equals x's.
+    """
+    rest = cell & (cell - 1)
+    bx = cell ^ rest
+    x = bx.bit_length() - 1
+    for row in rows:
+        inside = row[x] & cell
+        want = row[x] | bx if inside else row[x]
+        r = rest
+        while r:
+            low = r & -r
+            r ^= low
+            got = row[low.bit_length() - 1]
+            if (got | low if inside else got) != want:
+                return False
+    return True
+
+
 def _isomorphic(ra: list[list[int]], pa: list[int], rb: list[list[int]], pb: list[int]) -> bool:
     """Is there a color-preserving bijection taking each cell of pa onto the same cell of pb?
 
     ra and rb are the rows of colors 1..k-1, and pa and pb equitable
-    partitions reached with equal traces.  The least vertex of pa's first
-    non-singleton cell is individualized against each vertex of pb's
-    matching cell; both sides are refined and, on equal traces, the search
-    recurses.  At discrete partitions every row of ra, relabeled, must be
-    its image's row in rb.
+    partitions reached with equal traces.  When every cell of pa is a twin
+    module in ra (``_twin_module``; a single vertex is one), every
+    permutation inside the cells is an automorphism of ra, so if any
+    cell-preserving bijection is an isomorphism, so is each of them: pairing
+    each cell's vertices with its image's in bit order decides the test,
+    and every row of ra, relabeled, must be its image's row in rb.
+    Otherwise the least vertex of pa's first cell that is no twin module is
+    individualized against each vertex of pb's matching cell; both sides
+    are refined and, on equal traces, the search recurses.  A part of a twin
+    module is still one, so the rule holds at every depth.
     """
     for i, cell in enumerate(pa):
-        if cell & (cell - 1):
+        if cell & (cell - 1) and not _twin_module(ra, cell):
             break
     else:
-        image = [0] * len(pa)
+        image = [0] * sum(map(int.bit_count, pa))
         for x, y in zip(pa, pb):
-            image[x.bit_length() - 1] = y.bit_length() - 1
+            while x:
+                lx = x & -x
+                ly = y & -y
+                x ^= lx
+                y ^= ly
+                image[lx.bit_length() - 1] = ly.bit_length() - 1
         for row_a, row_b in zip(ra, rb):
             for u, w in enumerate(image):
                 r = row_a[u]
@@ -277,7 +315,8 @@ class _ClassStore:
     keeps every image under its own trace.  Colorings of different orders
     never share a trace, so one store serves every level.  Each image keeps
     its rows of colors 1..k-1, cut to its order, and its equitable
-    partition.
+    partition.  Lookups go through ``_isomorphic``, which settles a
+    partition of twin modules with one pairing of the cells.
     """
 
     def __init__(self, blocks: Sequence[Sequence[int]] = ()):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from oracles import (
     cycle_exists_dp,
     cycle_through_edge_bruteforce,
     first_sequence_bruteforce,
+    hamilton_cycle_exists_bruteforce,
     path_exists_dfs,
     rainbow_triangles_bruteforce,
     random_bitgraph,
@@ -123,6 +125,30 @@ def test_rainbow_none_on_two_colors():
 
 
 # -- exact-length monochromatic cycles --------------------------------------------
+
+
+def _induced(masks, subset) -> list[int]:
+    # the adjacency rows of the subgraph on subset, relabeled 0..len-1
+    return [sum(1 << i for i, w in enumerate(subset) if masks[v] >> w & 1) for v in subset]
+
+
+def test_subset_dp_oracle_matches_permutation_bruteforce():
+    # the absence claims of the acceptance and construction tests rest on
+    # the DP oracle: a C_m exists exactly when some m vertices carry a
+    # Hamilton cycle
+    rng = random.Random(19)
+    seen = set()
+    for _ in range(100):
+        n = rng.randint(3, 8)
+        g = random_bitgraph(rng, n, rng.uniform(0.2, 0.8))
+        for m in range(3, n + 1):
+            expect = any(
+                hamilton_cycle_exists_bruteforce(_induced(g.masks, subset), m)
+                for subset in itertools.combinations(range(n), m)
+            )
+            assert cycle_exists_dp(g.masks, n, m) == expect, (g.masks, m)
+            seen.add((m == n, expect))
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_mono_cycle_matches_subset_dp():

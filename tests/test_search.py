@@ -8,7 +8,15 @@ import random
 
 import pytest
 
-from gallai_lab.coloring import ColoredCompleteGraph, bits, build, complete_monochromatic, relabel
+from gallai_lab import search
+from gallai_lab.coloring import (
+    ColoredCompleteGraph,
+    bits,
+    build,
+    complete_monochromatic,
+    relabel,
+    substitute,
+)
 from gallai_lab.constructions import gallai_ramsey_formula, ramsey_formula
 from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import BadParameters, OverLimit
@@ -246,6 +254,80 @@ def test_class_store_agrees_with_oracle_key_on_symmetric_colorings():
         pool += [g] + [_shuffled(rng, g) for _ in range(3)]
     rng.shuffle(pool)
     _assert_store_agrees_with_oracle(pool)
+
+
+# colorings whose color-degree refinement leaves cells that are no twin
+# modules: one cell whose inside colors differ (a perfect matching of K_4
+# against the rest, a 5-cycle against its complement), or two cells, each
+# one color inside, that see each other in two colors (each vertex of a
+# 2-vertex cell joined in color 1 to its own two of a 4-vertex cell)
+_NON_TWIN_PARTS = (
+    build(4, 2, {(0, 1): 1, (2, 3): 1, (0, 2): 2, (0, 3): 2, (1, 2): 2, (1, 3): 2}),
+    _circulant(5, {1: 1, 2: 2}),
+    build(6, 2, {(u, v): 1 if (u, v) in {(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)} else 2
+                 for u in range(6) for v in range(u + 1, 6)}),
+)
+
+
+def _blow_up(rng, parts) -> ColoredCompleteGraph:
+    # parts substituted into a random base on 2 or 3 colors
+    k = rng.choice((2, 3))
+    return substitute(random_coloring(rng, len(parts), k), parts)
+
+
+def _twin_rule_pool(rng) -> list[ColoredCompleteGraph]:
+    # blow-ups into monochromatic parts, whose cells are twin modules unless
+    # refinement merges parts, and blow-ups that keep a part whose cell
+    # equitable refinement cannot tell from a twin module
+    pool = []
+    for _ in range(12):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(2, 4))]
+        pool.append(_blow_up(rng, [complete_monochromatic(s, 3, rng.randint(1, 3)) for s in sizes]))
+    for part in _NON_TWIN_PARTS:
+        pool.append(part)
+        for _ in range(3):
+            pool.append(_blow_up(rng, [part, complete_monochromatic(rng.randint(1, 3), 2, 1)]))
+    return pool
+
+
+def test_class_store_twin_module_rule_agrees_with_oracle_key():
+    # the twin-module rule decides a lookup by pairing cells in bit order;
+    # shuffled copies of each coloring must still be found, and only them
+    rng = random.Random(53)
+    pool = _twin_rule_pool(rng)
+    pool += [_shuffled(rng, g) for g in pool for _ in range(3)]
+    rng.shuffle(pool)
+    _assert_store_agrees_with_oracle(pool)
+
+
+def _every_permutation_keeps(mat: list[list[int]], cell: list[int]) -> bool:
+    # the cell is a twin module: its vertices see each other, and each
+    # vertex outside, in one color
+    outside = [w for w in range(len(mat)) if w not in cell]
+    return (len({mat[u][w] for u, w in itertools.combinations(cell, 2)}) <= 1
+            and all(len({mat[u][w] for u in cell}) == 1 for w in outside))
+
+
+def test_twin_module_partitions_are_decided_without_individualizing(monkeypatch):
+    # when every cell of the root partition is a twin module, a duplicate is
+    # found with the root refinement alone
+    calls = []
+    refine = search._refine
+    monkeypatch.setattr(search, "_refine", lambda *a: calls.append(a) or refine(*a))
+    rng = random.Random(59)
+    decided = 0
+    for g in _twin_rule_pool(rng):
+        every = (1 << g.n) - 1
+        cells, _ = refine(_masks(g)[1:-1], [every], [every])
+        if not all(_every_permutation_keeps(_matrix(g), list(bits(cell))) for cell in cells):
+            continue
+        store = _ClassStore()
+        assert store.add(_masks(g), g.n)
+        calls.clear()
+        assert not store.add(_masks(_shuffled(rng, g)), g.n)
+        assert len(calls) == 1
+        decided += 1
+    assert decided >= 8
 
 
 def _identity_word(mat: list[list[int]], n: int) -> tuple[int, ...]:
