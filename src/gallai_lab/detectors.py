@@ -109,12 +109,19 @@ class _PathEnds:
             cand = masks[x] & avail
             if left == 2:
                 # a neighbor's neighbor is never the neighbor itself
-                found = row_union(masks, cand) & avail
+                found = 0
+                while cand:
+                    low = cand & -cand
+                    found |= masks[low.bit_length() - 1]
+                    cand ^= low
+                found &= avail
                 new = found & ~ends[u]
                 if new:
                     ends[u] |= new
-                    for w in bits(new):
-                        ends[w] |= bu
+                    while new:
+                        low = new & -new
+                        ends[low.bit_length() - 1] |= bu
+                        new ^= low
                 return bool(found & targets)
             if left > 3:
                 # exact-steps walk cut: a walk of the remaining length must end
@@ -124,9 +131,11 @@ class _PathEnds:
                     reach = row_union(masks, reach) & avail
                 if not reach & targets:
                     return False
-            for y in bits(cand):
-                if grow(y, seen | 1 << y, left - 1):
+            while cand:
+                low = cand & -cand
+                if grow(low.bit_length() - 1, seen | low, left - 1):
                     return True
+                cand ^= low
             return False
 
         if grow(u, bu, self.m - 2):

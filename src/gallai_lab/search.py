@@ -44,7 +44,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coloring import ColoredCompleteGraph
 from .constructions import (
@@ -162,12 +162,16 @@ def _refine(rows: list[list[int]], cells: list[int], targets: list[int]) -> tupl
     round, a vertex's signature counts its neighbors in each of those colors
     inside each target (against a lone target vertex: the color of its edge
     there), and every cell of two or more vertices is split into groups of
-    equal signature, ordered by signature.  The next round's targets are the
-    groups of the cells that split, all but the first largest of each: its
-    counts are the old cell's, equal across any cell, less the others'.  So
-    the outcome depends on the coloring and the incoming partition but never
-    on the labels.  Returns the equitable partition and its trace: every
-    cell's groups as (cell position, size, signature), round by round.
+    equal signature, ordered by signature.  The counts are packed into one
+    int, seven bits each, color by color and target by target; a count is
+    at most 63 and a round's signatures all hold the same number of counts,
+    so the ints compare as the count sequences do.  The next round's targets
+    are the groups of the cells that split, all but the first largest of
+    each: its counts are the old cell's, equal across any cell, less the
+    others'.  So the outcome depends on the coloring and the incoming
+    partition but never on the labels.  Returns the equitable partition and
+    its trace: every cell's groups as (cell position, size, signature),
+    round by round.
     """
     trace = []
     while targets:
@@ -194,7 +198,11 @@ def _refine(rows: list[list[int]], cells: list[int], targets: list[int]) -> tupl
                     low = rest & -rest
                     rest ^= low
                     v = low.bit_length() - 1
-                    sig = bytes([(row[v] & m).bit_count() for row in rows for m in targets])
+                    sig = 0
+                    for row in rows:
+                        r = row[v]
+                        for m in targets:
+                            sig = sig << 7 | (r & m).bit_count()
                     groups[sig] = groups.get(sig, 0) | low
             if len(groups) == 1:
                 (sig,) = groups
@@ -311,32 +319,32 @@ class _ClassStore:
     colors in every order.  Relabeling vertices relabels that set of images
     and permuting a block leaves it as it is, so two colorings share a class
     exactly when the first image of one is vertex-isomorphic to some image
-    of the other.  The store looks up the first image only and, on accept,
-    keeps every image under its own trace.  Colorings of different orders
-    never share a trace, so one store serves every level.  Each image keeps
-    its rows of colors 1..k-1, cut to its order, and its equitable
-    partition.  Lookups go through ``_isomorphic``, which settles a
-    partition of twin modules with one pairing of the cells.
+    of the other.  A lookup builds and refines the first image only; the
+    others are built on accept, and every image is kept under its own trace.
+    Colorings of different orders never share a trace, so one store serves
+    every level.  Each image keeps its rows of colors 1..k-1, cut to its
+    order, and its equitable partition.  Lookups go through
+    ``_isomorphic``, which settles a partition of twin modules with one
+    pairing of the cells.
     """
 
     def __init__(self, blocks: Sequence[Sequence[int]] = ()):
         self.blocks = [tuple(b) for b in blocks]
         self.buckets: dict[tuple, list[tuple[list[list[int]], list[int]]]] = {}
 
-    def _images(self, masks: Sequence[list[int]], ell: int) -> list[list[list[int]]]:
+    def _images(self, masks: Sequence[list[int]], ell: int) -> Iterator[list[list[int]]]:
         # each image's rows of colors 1..k-1, the first image first
         if not self.blocks:
-            return [[row[:ell] for row in masks[1:-1]]]
+            yield [row[:ell] for row in masks[1:-1]]
+            return
         rows = [None] + [row[:ell] for row in masks[1:]]
         sizes = [0] + [sum(map(int.bit_count, row)) for row in rows[1:]]
-        images = []
         for orders in itertools.product(*(_block_orders(b, sizes) for b in self.blocks)):
             source = list(range(len(rows)))
             for block, order in zip(self.blocks, orders):
                 for c, s in zip(block, order):
                     source[c] = s
-            images.append([rows[s] for s in source[1:-1]])
-        return images
+            yield [rows[s] for s in source[1:-1]]
 
     def add(self, masks: Sequence[list[int]], ell: int) -> bool:
         """Record the coloring on vertices 0..ell-1; False if its class was already here.
@@ -346,14 +354,14 @@ class _ClassStore:
         """
         images = self._images(masks, ell)
         every = (1 << ell) - 1
-        rows = images[0]
+        rows = next(images)
         cells, trace = _refine(rows, [every], [every])
         bucket = self.buckets.setdefault(tuple(trace), [])
         for stored, stored_cells in bucket:
             if _isomorphic(rows, cells, stored, stored_cells):
                 return False
         bucket.append((rows, cells))
-        for rows in images[1:]:
+        for rows in images:
             cells, trace = _refine(rows, [every], [every])
             self.buckets.setdefault(tuple(trace), []).append((rows, cells))
         return True

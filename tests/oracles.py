@@ -248,6 +248,63 @@ def canonical_key(
     return tuple(best)
 
 
+# -- color-degree refinement with byte-string signatures ---------------------------
+
+
+def refine_with_byte_signatures(
+    rows: list[list[int]], cells: list[int], targets: list[int]
+) -> tuple[list[int], list]:
+    """Color-degree refinement with byte-string signatures (reference for ``_refine``).
+
+    The same rounds as the search's ``_refine``, but a vertex's signature
+    is the byte string of its color counts toward the targets, color by
+    color and target by target, where ``_refine`` packs the same counts
+    into one int.  A count is at most 63, so it always fits a byte.
+    """
+    trace = []
+    while targets:
+        split: list[int] = []
+        fresh: list[int] = []
+        t = targets[0]
+        u = t.bit_length() - 1 if len(targets) == 1 and not t & (t - 1) else -1
+        for i, cell in enumerate(cells):
+            if not cell & (cell - 1):
+                split.append(cell)
+                continue
+            groups: dict = {}
+            rest = cell
+            if u >= 0:
+                for c, row in enumerate(rows, 1):
+                    part = rest & row[u]
+                    if part:
+                        groups[c] = part
+                        rest ^= part
+                if rest:
+                    groups[len(rows) + 1] = rest
+            else:
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    v = low.bit_length() - 1
+                    sig = bytes([(row[v] & m).bit_count() for row in rows for m in targets])
+                    groups[sig] = groups.get(sig, 0) | low
+            if len(groups) == 1:
+                (sig,) = groups
+                trace.append((i, cell.bit_count(), sig))
+                split.append(cell)
+                continue
+            order = sorted(groups)
+            sizes = [groups[sig].bit_count() for sig in order]
+            big = sizes.index(max(sizes))
+            for j, sig in enumerate(order):
+                trace.append((i, sizes[j], sig))
+                split.append(groups[sig])
+                if j != big:
+                    fresh.append(groups[sig])
+        cells, targets = split, fresh
+    return cells, trace
+
+
 # -- the min-image test ------------------------------------------------------------
 
 

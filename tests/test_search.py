@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import random
@@ -15,10 +16,11 @@ from gallai_lab.coloring import (
     build,
     complete_monochromatic,
     relabel,
+    serialize,
     substitute,
 )
 from gallai_lab.constructions import gallai_ramsey_formula, ramsey_formula
-from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
+from gallai_lab.detectors import _PathEnds, find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import BadParameters, OverLimit
 from gallai_lab.search import (
     BUDGET_EXCEEDED,
@@ -43,9 +45,11 @@ from oracles import (
     _is_min_image,
     automorphism_count,
     canonical_key,
+    cycle_through_edge_bruteforce,
     is_group_min_image,
     palette_permutations,
     random_coloring,
+    refine_with_byte_signatures,
 )
 
 
@@ -379,6 +383,52 @@ def test_refinement_ignores_vertex_labels_at_the_palette_edges():
                     assert got == (moved, trace)
 
 
+def _packed(sig):
+    # a byte-string signature read as 7-bit slots, the first byte highest; a
+    # lone target's color is an int already
+    if type(sig) is int:
+        return sig
+    out = 0
+    for count in sig:
+        out = out << 7 | count
+    return out
+
+
+def test_refinement_matches_the_byte_signature_reference():
+    # the packed-int signatures split cells into the same groups, in the same
+    # order, as byte strings do: equal cells, and a trace that is the
+    # reference's with every signature packed, entry for entry.  A round's
+    # signatures all have the same number of slots, so packing is one-to-one
+    # on them and keeps their order.  The 64-vertex coloring joins vertex 0
+    # to every other vertex in color 1, so one count is 63 and fills six of
+    # its slot's seven bits
+    rng = random.Random(61)
+    pool = []
+    for k in (1, 2, 3, 4):
+        pool += _palette_edge_pool(rng, k)
+        pool += [random_coloring(rng, n, k) for n in (8, 12, 16)]
+    wide = random_coloring(rng, 64, 3)
+    pool.append(build(64, 3, {
+        (u, v): 1 if u == 0 else wide.color_of(u, v) for u in range(64) for v in range(u + 1, 64)
+    }))
+    full_count = False
+    for g in pool:
+        rows = _masks(g)[1:-1]
+        every = (1 << g.n) - 1
+        x = rng.randrange(g.n)
+        # a random ordered partition, every cell a target
+        owner = [rng.randrange(3) for _ in range(g.n)]
+        parts = [p for p in (sum(1 << v for v in range(g.n) if owner[v] == i) for i in range(3)) if p]
+        for cells, targets in (([every], [every]), ([1 << x, every ^ 1 << x], [1 << x]),
+                               (parts, parts)):
+            got_cells, got = _refine(rows, cells, targets)
+            want_cells, want = refine_with_byte_signatures(rows, cells, targets)
+            assert got_cells == want_cells
+            assert got == [(i, size, _packed(sig)) for i, size, sig in want]
+            full_count |= any(type(sig) is bytes and 63 in sig for _, _, sig in want)
+    assert full_count
+
+
 def test_class_store_agrees_with_oracle_key_at_the_palette_edges():
     rng = random.Random(43)
     for k in (1, 4):
@@ -437,7 +487,7 @@ def test_class_store_images_cover_tied_and_empty_colors():
     # a store entry per distinct renaming that orders the block by class
     # size: ties give one image per order, empty colors are all alike
     def images(g, blocks):
-        return len(_ClassStore(blocks)._images(_masks(g), g.n))
+        return len(list(_ClassStore(blocks)._images(_masks(g), g.n)))
 
     triangle_and_star = _tied_pool(3)[0]
     assert images(triangle_and_star, [(1, 2, 3)]) == 2
@@ -448,6 +498,42 @@ def test_class_store_images_cover_tied_and_empty_colors():
     matchings = _tied_pool(3)[2]
     assert images(matchings, [(1, 2, 3)]) == 6
     assert images(_tied_pool(4)[2], [(1, 2), (3, 4)]) == 2
+
+
+def test_class_store_builds_only_the_first_image_of_a_rejected_coloring(monkeypatch):
+    # a lookup refines the first palette image and draws no other; an accept
+    # still stores every image.  The colorings' root cells are twin modules,
+    # so the lookup itself never individualizes
+    calls = []
+    drawn = []
+    refine = search._refine
+    images = _ClassStore._images
+
+    def counted_images(self, masks, ell):
+        for rows in images(self, masks, ell):
+            drawn.append(rows)
+            yield rows
+
+    monkeypatch.setattr(search, "_refine", lambda *a: calls.append(a) or refine(*a))
+    monkeypatch.setattr(_ClassStore, "_images", counted_images)
+    rng = random.Random(67)
+    # five edges of each color on K_6, told apart vertex by vertex by the
+    # root refinement: all three colors tie
+    asymmetric = ColoredCompleteGraph(6, 3, [3, 3, 1, 3, 2, 2, 1, 2, 2, 3, 1, 1, 3, 2, 1])
+    for g, count in ((_tied_pool(3)[0], 2), (asymmetric, 6)):
+        every = (1 << g.n) - 1
+        cells, _ = refine(_masks(g)[1:-1], [every], [every])
+        assert all(_every_permutation_keeps(_matrix(g), list(bits(cell))) for cell in cells)
+        store = _ClassStore([(1, 2, 3)])
+        drawn.clear()
+        assert store.add(_masks(g), g.n)
+        assert len(drawn) == count
+        assert sum(map(len, store.buckets.values())) == count
+        renamed = _renamed_coloring(_shuffled(rng, g), {1: 2, 2: 3, 3: 1})
+        calls.clear()
+        drawn.clear()
+        assert not store.add(_masks(renamed), g.n)
+        assert (len(calls), len(drawn)) == (1, 1)
 
 
 def test_min_image_agrees_with_oracle_key():
@@ -640,7 +726,9 @@ def test_per_order_counts_with_and_without_renamings():
         assert (out.status, st.nodes, st.canonical, st.rejected) == expected, p
 
 
-def _orders_until_exhausted(k, forbidden, rainbow, limits):
+def _orders_until_exhausted(k, forbidden, rainbow, limits, digests=None):
+    # with ``digests``, each found coloring's serialized text is pinned too,
+    # by the first 16 hex digits of its sha256
     rows = []
     for n in itertools.count(1):
         out = exists_avoiding(AvoidanceProblem(n, k, forbidden, rainbow), limit_overrides=limits)
@@ -648,6 +736,8 @@ def _orders_until_exhausted(k, forbidden, rainbow, limits):
         rows.append((out.status, st.nodes, st.canonical, st.rejected))
         if out.status != FOUND:
             return rows
+        if digests is not None:
+            digests.append(hashlib.sha256(serialize(out.coloring).encode()).hexdigest()[:16])
 
 
 def test_per_order_counts_of_the_benchmark_searches():
@@ -655,17 +745,86 @@ def test_per_order_counts_of_the_benchmark_searches():
     # the benchmark's threshold workloads grow them
     small = [(FOUND, 1, 1, 0), (FOUND, 1, 1, 0), (FOUND, 2, 2, 0), (FOUND, 3, 3, 0),
              (FOUND, 4, 4, 0), (FOUND, 5, 5, 0)]
-    assert _orders_until_exhausted(2, (5, 6), False, {2: 11}) == small + [
+    found = {"c5c6": [], "c6c6": [], "gallai-k3": []}
+    assert _orders_until_exhausted(2, (5, 6), False, {2: 11}, found["c5c6"]) == small + [
         (FOUND, 21, 16, 5), (FOUND, 100, 62, 38), (FOUND, 101, 63, 38),
         (FOUND, 102, 64, 38), (EXHAUSTED, 263, 114, 149),
     ]
-    assert _orders_until_exhausted(2, (6, 6), False, None) == small + [
+    assert _orders_until_exhausted(2, (6, 6), False, None, found["c6c6"]) == small + [
         (FOUND, 6, 6, 0), (EXHAUSTED, 229, 84, 145),
     ]
-    assert _orders_until_exhausted(3, (3, 3, 3), True, {3: 11}) == small + [
+    assert _orders_until_exhausted(3, (3, 3, 3), True, {3: 11}, found["gallai-k3"]) == small + [
         (FOUND, 6, 6, 0), (FOUND, 7, 7, 0), (FOUND, 9, 9, 0), (FOUND, 18, 16, 2),
         (EXHAUSTED, 94, 39, 55),
     ]
+    # the found colorings, order by order: a faster search must find the same ones
+    assert found == {
+        "c5c6": ["f251ddc12234e0da", "e3c71e9c5df45b2d", "b61da295e076bd32", "b15a08698799b937",
+                 "bbdf969b6702137d", "4255a486812ac29c", "32273659b60229b7", "b985fa2d685a1222",
+                 "055b47aa6754f28b", "8b742955f5e90c5d"],
+        "c6c6": ["f251ddc12234e0da", "e3c71e9c5df45b2d", "b61da295e076bd32", "b15a08698799b937",
+                 "cce597ba6c4ba03c", "ab82da37acd59741", "c52e08c39bde987c"],
+        "gallai-k3": ["b7ea1f3c2d566646", "e033ae9f95c95a12", "2f6f4f121884f591",
+                      "a99feba2a3a45170", "30118d8228600e83", "103c04eddc577c32",
+                      "f70b59ce49565ef3", "4f0be2a19978e200", "5f2b0b7865ed54f3",
+                      "4f60123f0b1466ae"],
+    }
+
+
+def test_edge_test_agrees_with_bruteforce_on_random_prefixes(monkeypatch):
+    # _edge_ok asked as the search asks it: the coloring on 0..v-1 is fixed
+    # and v's edges to 0..u-1 are colored.  Edge {u, v} may take color c
+    # unless it closes a C_m in color c (permutation brute force) or, with
+    # rainbow triangles forbidden, a triangle u v w in three colors (a loop
+    # over w).  Answers found while earlier edges were asked are stored in
+    # both rows, so many later answers are read from the rows, with no call
+    # to the path search
+    calls = []
+    closes = _PathEnds.closes
+    monkeypatch.setattr(_PathEnds, "closes", lambda *a: calls.append(a) or closes(*a))
+    rng = random.Random(71)
+    outcomes = set()
+    for _ in range(100):
+        k = rng.randint(1, 4)
+        forbidden = tuple(rng.randint(3, 7) for _ in range(k))
+        v = rng.randint(2, 8)
+        s = search._Search(AvoidanceProblem(v + 1, k, forbidden, rng.random() < 0.5))
+        weights = [rng.random() for _ in range(k)]
+
+        def paint(a, b):
+            c = rng.choices(range(1, k + 1), weights)[0]
+            s.colors[a][b] = s.colors[b][a] = c
+            s.masks[c][a] |= 1 << b
+            s.masks[c][b] |= 1 << a
+
+        for b in range(1, v):
+            for a in range(b):
+                paint(a, b)
+        s.tables[v] = search._path_end_tables(s.masks, forbidden, v, s.triangles)
+        # three vectors for v against one table, as after backtracking
+        for _ in range(3):
+            for u in range(v):
+                for c in range(1, k + 1):
+                    m = forbidden[c - 1]
+                    cycle = cycle_through_edge_bruteforce(s.masks[c], u, v, m, range(v + 1))
+                    cu, cv = s.colors[u], s.colors[v]
+                    rainbow = s.p.rainbow_triangle_forbidden and any(
+                        cu[w] and cv[w] and len({c, cu[w], cv[w]}) == 3 for w in range(v))
+                    calls.clear()
+                    ok = s._edge_ok(u, v, c)
+                    assert ok == (not cycle and not rainbow), (s.colors, u, v, c, forbidden)
+                    asked = m > 3 and s.tables[v][c] is not None and s.masks[c][v]
+                    outcomes.add((ok, cycle, bool(asked) and not calls))
+                paint(u, v)
+            for u in range(v):
+                c = s.colors[v][u]
+                s.masks[c][u] ^= 1 << v
+                s.masks[c][v] ^= 1 << u
+                s.colors[u][v] = s.colors[v][u] = 0
+    # refused for a cycle and for a rainbow triangle alone, and a cycle
+    # question with m > 3 answered both ways from the rows
+    assert {(False, True), (False, False), (True, False)} <= {o[:2] for o in outcomes}
+    assert {(False, True, True), (True, False, True)} <= outcomes
 
 
 def test_every_counted_node_is_canonical_or_rejected():
