@@ -154,12 +154,14 @@ class ColoredCompleteGraph:
         if len(colors) != expected:
             raise ValueError(f"expected {expected} edge colors, got {len(colors)}")
         store = tuple(colors)
-        for v in range(1, n):
-            base = v * (v - 1) // 2
-            for u in range(v):
-                c = store[base + u]
-                if not 1 <= c <= k:
-                    raise ColorOutOfRange(u, v, c, k)
+        if store and not (1 <= min(store) and max(store) <= k):
+            # Locate the first bad entry in store order for the error.
+            for v in range(1, n):
+                base = v * (v - 1) // 2
+                for u in range(v):
+                    c = store[base + u]
+                    if not 1 <= c <= k:
+                        raise ColorOutOfRange(u, v, c, k)
         self.n = n
         self.k = k
         self._colors = store
@@ -167,11 +169,11 @@ class ColoredCompleteGraph:
         # authoritative, these exist so detectors never rescan it.
         masks = [[0] * n for _ in range(k + 1)]
         for v in range(1, n):
-            base = v * (v - 1) // 2
-            for u in range(v):
-                c = store[base + u]
-                masks[c][u] |= 1 << v
-                masks[c][v] |= 1 << u
+            bit_v = 1 << v
+            for u, c in enumerate(store[v * (v - 1) // 2 : v * (v + 1) // 2]):
+                rows = masks[c]
+                rows[u] |= bit_v
+                rows[v] |= 1 << u
         self._masks = masks
 
     # -- reads ------------------------------------------------------------
@@ -248,10 +250,10 @@ def induced(g: ColoredCompleteGraph, s: VertexSubset) -> ColoredCompleteGraph:
     verts = s.vertices()
     if not verts:
         raise EmptySubset("induced subgraph on the empty set")
-    flat = []
-    for j in range(1, len(verts)):
-        for i in range(j):
-            flat.append(g.color_of(verts[i], verts[j]))
+    colors = g.edge_colors()
+    flat: list[int] = []
+    for j, w in enumerate(verts):
+        flat += [colors[w * (w - 1) // 2 + u] for u in verts[:j]]
     return ColoredCompleteGraph(len(verts), g.k, flat)
 
 
@@ -270,23 +272,19 @@ def substitute(
     if total > MAX_VERTICES:
         raise SizeLimitExceeded(f"substitution result has {total} > {MAX_VERTICES} vertices")
     k = max(base.k, max(p.k for p in parts))
-    offsets = []
-    at = 0
-    for p in parts:
-        offsets.append(at)
-        at += p.n
-    owner = []
+    base_colors = base.edge_colors()
+    flat: list[int] = []
     for i, p in enumerate(parts):
-        owner.extend([i] * p.n)
-    flat = []
-    for v in range(1, total):
-        iv = owner[v]
-        for u in range(v):
-            iu = owner[u]
-            if iu == iv:
-                flat.append(parts[iu].color_of(u - offsets[iu], v - offsets[iv]))
-            else:
-                flat.append(base.color_of(iu, iv))
+        # Row of a vertex in copy i: the base color of {j,i} for every vertex
+        # of each earlier copy j, then its own row of parts[i].
+        row = i * (i - 1) // 2
+        lead: list[int] = []
+        for j in range(i):
+            lead += [base_colors[row + j]] * parts[j].n
+        colors = p.edge_colors()
+        for v in range(p.n):
+            flat += lead
+            flat += colors[v * (v - 1) // 2 : v * (v + 1) // 2]
     return ColoredCompleteGraph(total, k, flat)
 
 
@@ -294,10 +292,11 @@ def relabel(g: ColoredCompleteGraph, perm: Sequence[int]) -> ColoredCompleteGrap
     """Apply a vertex permutation: vertex i of ``g`` becomes ``perm[i]``."""
     if sorted(perm) != list(range(g.n)):
         raise ValueError("perm is not a permutation of the vertex set")
-    flat = [0] * (g.n * (g.n - 1) // 2)
+    colors = g.edge_colors()
+    flat = [0] * len(colors)
     for v in range(1, g.n):
-        for u in range(v):
-            flat[pair_index(perm[u], perm[v])] = g.color_of(u, v)
+        for u, c in enumerate(colors[v * (v - 1) // 2 : v * (v + 1) // 2]):
+            flat[pair_index(perm[u], perm[v])] = c
     return ColoredCompleteGraph(g.n, g.k, flat)
 
 
@@ -312,8 +311,9 @@ def relabel(g: ColoredCompleteGraph, perm: Sequence[int]) -> ColoredCompleteGrap
 def serialize(g: ColoredCompleteGraph, comments: Sequence[str] = ()) -> str:
     out = [f"# {c}" for c in comments]
     out.append(f"{g.n} {g.k}")
+    colors = g.edge_colors()
     for v in range(1, g.n):
-        out.append(" ".join(str(g.color_of(u, v)) for u in range(v)))
+        out.append(" ".join(map(str, colors[v * (v - 1) // 2 : v * (v + 1) // 2])))
     return "\n".join(out) + "\n"
 
 
@@ -347,16 +347,23 @@ def parse(text: str) -> ColoredCompleteGraph:
             raise ColoringParseError("data after the last expected row", ln)
         if len(fields) != row:
             raise ColoringParseError(f"expected {row} entries, got {len(fields)}", ln)
-        for j, f in enumerate(fields):
-            try:
-                c = int(f)
-            except ValueError:
-                raise ColoringParseError(f"entry {j} is not an integer", ln) from None
-            if not 1 <= c <= k:
-                raise ColoringParseError(
-                    f"color {c} on pair {{{j},{row}}} outside palette 1..{k}", ln
-                )
-            flat.append(c)
+        try:
+            vals = list(map(int, fields))
+            ok = 1 <= min(vals) and max(vals) <= k
+        except ValueError:
+            ok = False
+        if not ok:
+            # Locate the first bad entry in row order for the error.
+            for j, f in enumerate(fields):
+                try:
+                    c = int(f)
+                except ValueError:
+                    raise ColoringParseError(f"entry {j} is not an integer", ln) from None
+                if not 1 <= c <= k:
+                    raise ColoringParseError(
+                        f"color {c} on pair {{{j},{row}}} outside palette 1..{k}", ln
+                    )
+        flat += vals
         row += 1
     if header is None:
         raise ColoringParseError("empty input")

@@ -129,11 +129,13 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
 # -- computing a partition -----------------------------------------------------
 
 
-def _candidate_blocks(g: ColoredCompleteGraph, cand: tuple[int, ...]) -> list[int] | None:
-    """Blocks for one candidate between-color set, or None if they collapse."""
+def _candidate_blocks(
+    g: ColoredCompleteGraph, cand: tuple[int, ...], used: Sequence[int]
+) -> list[int] | None:
+    """Blocks for one between-color set ``cand`` out of ``used``, or None if they collapse."""
     n = g.n
     other = [0] * n
-    for c in g.colors_used():
+    for c in used:
         if c in cand:
             continue
         rows = g.class_masks(c)
@@ -262,7 +264,7 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     candidates += [(a, b) for i, a in enumerate(used) for b in used[i + 1 :]]
     best: GallaiPartition | None = None
     for cand in candidates:
-        blocks = _candidate_blocks(g, cand)
+        blocks = _candidate_blocks(g, cand, used)
         if blocks is None:
             continue
         if coarsest:

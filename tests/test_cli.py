@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from gallai_lab.cli import main
+from gallai_lab.cli import build_parser, main
 from gallai_lab.coloring import parse, serialize
 from gallai_lab.constructions import build_extremal_odd, random_gallai
 from gallai_lab.detectors import find_mono_cycle
@@ -334,3 +334,35 @@ def test_usage_error_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# -- parser reuse ---------------------------------------------------------------------
+
+
+def test_parser_is_built_once_and_matches_a_fresh_one():
+    assert build_parser() is build_parser()
+    assert build_parser().format_help() == build_parser.__wrapped__().format_help()
+
+
+def test_main_calls_share_no_state(tmp_path, capsys):
+    f = tmp_path / "g.txt"
+    run(capsys, "gen", "extremal-odd", "--ell", "2", "--k", "2", "-o", str(f))
+
+    code, out = run(capsys, "check", str(f), "--cycle", "5", "--json")
+    assert code == 0 and json.loads(out) == {"found": False, "witnesses": []}
+    code, out = run(capsys, "check", str(f), "--cycle", "5")
+    assert code == 0 and out == "C_5: absent in all colors\n"
+
+    red = tmp_path / "reduced.txt"
+    code, first = run(capsys, "partition", str(f), "--reduced", str(red))
+    assert code == 0 and red.exists()
+    red.unlink()
+    code, second = run(capsys, "partition", str(f))
+    assert code == 0 and second == first
+    assert not red.exists()
+
+    with pytest.raises(SystemExit) as info:
+        main(["check", str(f), "--cycle"])
+    assert info.value.code == 2
+    code, _ = run(capsys, "check", str(f), "--cycle", "4")
+    assert code == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -19,6 +20,11 @@ from gallai_lab.coloring import (
     relabel,
     serialize,
     substitute,
+)
+from gallai_lab.constructions import (
+    build_extremal_odd,
+    build_ramsey_cycle_lower,
+    random_gallai,
 )
 from gallai_lab.errors import (
     ArityMismatch,
@@ -197,6 +203,67 @@ def test_parse_error_carries_line_number():
         assert exc.line == 3
     else:
         raise AssertionError("expected a parse error")
+
+
+# sha256 of serialize() for 64-vertex hosts, as written by the per-pair
+# serializer that the flat-store one replaced; the text format is a contract.
+SERIALIZED_SHA256 = {
+    ("extremal-odd", 2, 5): "516537b4302a2b511eb9264cc724c1966c923c04604e0ec044b3ddcde2dd5abf",
+    ("extremal-odd", 4, 4): "ec85f563acb7f895dec93d9dbcdf048c160dce782fcf641ed15730278f1e6a06",
+    ("ramsey-lower", 5, 33): "4c1eb65a6152a12763ca77fea2531d8ebb96359617a0d2779473d1bf9d134643",
+    ("random", 3, 0): "8db1805f4b4e196faf3138a8d302cf8b5ce7ac0dfe5cadb7d85637233a7dadeb",
+    ("random", 3, 1): "72faac3e424fe361e9fdd0b21d81b7d31ed8aad6c92f0f2faf672b6b47995420",
+    ("random", 3, 7): "8a6a293d334e457093d9cd95e41f98046f2fe71f79e7ae2b41190de37ec415e9",
+    ("random", 3, 12345): "26a32016b7fba13e85967f383f879dbc187962d3f5c526636f541f583d937f73",
+    ("random", 4, 0): "dde25e8c2d666c97dab001edd11a611626629fee194c4a5df9f10defdfbf0fea",
+    ("random", 4, 1): "baf5fd3e633c304f74b7f3ad31ba0051ae4950f45f80f8b4a4526b4752d12265",
+    ("random", 4, 7): "827c56f639767bbe51c018271bdf2bb3a5a41698989df033f6405097c3b5e017",
+    ("random", 4, 12345): "bbde5729a259264e158545922a21b6b8a51aa9c9b7b0af921b20fb1345177b68",
+}
+HOST_BUILDERS = {
+    "extremal-odd": lambda ell, k: build_extremal_odd(ell, k)[0],
+    "ramsey-lower": lambda m, n: build_ramsey_cycle_lower(m, n)[0],
+    "random": lambda k, seed: random_gallai(64, k, seed),
+}
+
+
+@pytest.mark.parametrize("kind, a, b", sorted(SERIALIZED_SHA256))
+def test_serialize_is_pinned_on_64_vertex_hosts(kind, a, b):
+    g = HOST_BUILDERS[kind](a, b)
+    text = serialize(g)
+    assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED_SHA256[(kind, a, b)]
+    assert parse(text) == g
+
+
+@pytest.mark.parametrize("text, message, line", [
+    ("4 3\n1\n2 3\n1 x 2\n", "entry 1 is not an integer", 4),
+    ("4 3\n1\n2 3\n1 7 2\n", "color 7 on pair {1,3} outside palette 1..3", 4),
+    ("4 3\n1\n2 3\n1 0 2\n", "color 0 on pair {1,3} outside palette 1..3", 4),
+    # the first bad entry in row order wins, whatever its kind
+    ("4 3\n1\n2 3\n1 9 x\n", "color 9 on pair {1,3} outside palette 1..3", 4),
+    ("4 3\n1\n2 3\ny 9 2\n", "entry 0 is not an integer", 4),
+    # comments and blank lines still count toward the line number
+    ("# c\n4 3\n1\n\n2 3\n1 2 4\n", "color 4 on pair {2,3} outside palette 1..3", 6),
+])
+def test_parse_error_names_the_first_bad_entry(text, message, line):
+    with pytest.raises(ColoringParseError) as info:
+        parse(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: {message}"
+
+
+@pytest.mark.parametrize("n, k, flat, pair, color", [
+    (3, 2, [1, 3, 0], (0, 2), 3),
+    (4, 3, [1, 2, 3, 4, 0, 5], (0, 3), 4),
+    (5, 2, [1, 1, 1, 1, 1, 1, 0, 9, 1, 1], (0, 4), 0),
+    (4, 3, [3, 3, 3, 3, 3, -2], (2, 3), -2),
+])
+def test_constructor_names_the_first_bad_entry(n, k, flat, pair, color):
+    with pytest.raises(ColorOutOfRange) as info:
+        ColoredCompleteGraph(n, k, flat)
+    assert info.value.pair == pair
+    assert info.value.color == color
+    assert str(info.value) == f"color {color} on pair {{{pair[0]},{pair[1]}}} outside palette 1..{k}"
 
 
 def test_equality_and_hash():

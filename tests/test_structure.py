@@ -149,6 +149,17 @@ def test_partition_deterministic():
         assert gallai_partition(g) == gallai_partition(g)
 
 
+def test_partition_reads_the_palette_once(monkeypatch):
+    g = random_gallai(40, 4, 9)
+    expected = gallai_partition(g, coarsest=True)
+    calls = []
+    colors_used = ColoredCompleteGraph.colors_used
+    monkeypatch.setattr(ColoredCompleteGraph, "colors_used",
+                        lambda self: calls.append(self) or colors_used(self))
+    assert gallai_partition(g, coarsest=True) == expected
+    assert len(calls) == 1
+
+
 # -- coarsest flag vs brute-force set partitions -------------------------------------
 
 
