@@ -59,7 +59,6 @@ from .search import (
     SearchStats,
     enumerate_avoiding,
     exists_avoiding,
-    feasibility_limit,
     reports_equivalent,
     search_gallai_ramsey,
     search_ramsey,

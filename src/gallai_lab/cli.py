@@ -24,8 +24,6 @@ from .errors import (
     NotGallai,
 )
 
-ENV_LIMITS = "GALLAI_LAB_LIMITS"
-
 
 def _read_coloring(path: str) -> ColoredCompleteGraph:
     with open(path, "r", encoding="utf-8") as fh:
@@ -55,16 +53,6 @@ def _parse_color_list(text: str, k: int) -> list[int]:
         if not 1 <= c <= k:
             raise ValueError(f"color {c} outside palette 1..{k}")
     return chosen
-
-
-def _limit_overrides(arg: str | None) -> dict[int, int]:
-    overrides: dict[int, int] = {}
-    env = os.environ.get(ENV_LIMITS)
-    if env:
-        overrides.update(search.parse_limit_overrides(env))
-    if arg:
-        overrides.update(search.parse_limit_overrides(arg))
-    return overrides
 
 
 # -- gen -------------------------------------------------------------------------
@@ -195,19 +183,14 @@ def _witness_path(args: argparse.Namespace) -> str | None:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    overrides = _limit_overrides(args.limit)
     if args.family == "ramsey" and args.n is None:
         raise ValueError("search ramsey needs --n")
     if args.family == "gallai" and args.k is None:
         raise ValueError("search gallai needs --k")
     if args.family == "ramsey":
-        report = search.search_ramsey(
-            args.m, args.n, budget=args.budget, seed=args.seed, limit_overrides=overrides,
-        )
+        report = search.search_ramsey(args.m, args.n, budget=args.budget)
     else:
-        report = search.search_gallai_ramsey(
-            args.m, args.k, budget=args.budget, seed=args.seed, limit_overrides=overrides,
-        )
+        report = search.search_gallai_ramsey(args.m, args.k, budget=args.budget)
     wpath = _witness_path(args)
     if report.witness is not None and wpath is not None:
         _emit(serialize(report.witness), wpath)
@@ -306,11 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--m", type=int, required=True, help="cycle order (color 1)")
     sch.add_argument("--n", type=int, help="cycle order for color 2 (ramsey)")
     sch.add_argument("--k", type=int, help="palette size (gallai)")
-    sch.add_argument("--budget", type=int,
-                     help="node budget per order (a node is a cycle-free color vector)")
-    sch.add_argument("--seed", type=int, default=0)
-    sch.add_argument("--limit",
-                     help="largest order per palette size, like 2:10,3:8 (raises or lowers the default)")
+    sch.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
+                     help="steps per order, one per node (a cycle-free color vector) and one"
+                          " per cycle-walk call; an order that runs out ends the search with"
+                          " a lower bound (default %(default)s)")
     sch.add_argument("--witness-file")
     sch.add_argument("-o", "--output")
     sch.set_defaults(func=_cmd_search)

@@ -11,12 +11,14 @@ Exact-length cycles and paths have one engine, the path-end table
 too.  A table settles whether some simple path of a given length runs from
 a vertex to a target set; ``_first_path`` then recovers the
 lexicographically first such path, and both ``find_mono_cycle`` and
-``find_mono_path`` are built on it.
+``find_mono_path`` are built on it.  A table counts its walk's calls on a
+``_StepMeter``, which the search caps and the detectors leave uncapped.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -65,6 +67,23 @@ def canonical_path(vs: Sequence[int]) -> tuple[int, ...]:
 # -- exact-length searches ---------------------------------------------------
 
 
+class _OutOfSteps(Exception):
+    """A ``_StepMeter`` reached its cap."""
+
+
+class _StepMeter:
+    """A count of work done against a cap, None for no cap.
+
+    A step is one call of a path-end walk or, in the search, one node.
+    """
+
+    __slots__ = ("steps", "cap")
+
+    def __init__(self, cap: int | None = None):
+        self.steps = 0
+        self.cap = sys.maxsize if cap is None else cap
+
+
 class _PathEnds:
     """The path-end table of one color class inside ``universe``, filled on demand.
 
@@ -73,15 +92,19 @@ class _PathEnds:
     when row u meets x's neighbors.  ``ends[u]`` holds the ends found so far
     and ``ruled_out[u]`` the vertices shown not to be ends; the relation is
     symmetric, so each finding is stored both ways.  For m = 3 the rows are
-    the adjacency rows themselves and nothing is left to find.
+    the adjacency rows themselves and nothing is left to find.  Each call of
+    the walk is a step on ``meter`` (a fresh, uncapped one by default), and
+    a walk that reaches the meter's cap raises ``_OutOfSteps``.
     """
 
-    __slots__ = ("masks", "universe", "m", "ends", "ruled_out")
+    __slots__ = ("masks", "universe", "m", "ends", "ruled_out", "meter")
 
-    def __init__(self, masks: Sequence[int], universe: int, m: int):
+    def __init__(self, masks: Sequence[int], universe: int, m: int,
+                 meter: _StepMeter | None = None):
         self.masks = masks
         self.universe = universe
         self.m = m
+        self.meter = _StepMeter() if meter is None else meter
         if m == 3:
             self.ends = masks
             self.ruled_out = [-1] * len(masks)
@@ -103,8 +126,14 @@ class _PathEnds:
             return False
         masks, universe = self.masks, self.universe
         bu = 1 << u
+        meter = self.meter
+        steps, cap = meter.steps, meter.cap
 
         def grow(x: int, seen: int, left: int) -> bool:
+            nonlocal steps
+            if steps >= cap:
+                raise _OutOfSteps
+            steps += 1
             avail = universe & ~seen
             cand = masks[x] & avail
             if left == 2:
@@ -138,7 +167,11 @@ class _PathEnds:
                 cand ^= low
             return False
 
-        if grow(u, bu, self.m - 2):
+        try:
+            hit = grow(u, bu, self.m - 2)
+        finally:
+            meter.steps = steps
+        if hit:
             return True
         self.ruled_out[u] |= targets
         for w in bits(targets):

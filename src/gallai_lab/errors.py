@@ -107,12 +107,12 @@ class BadParameters(GallaiLabError):
 
 
 class OverLimit(GallaiLabError):
-    """An exhaustive search was requested beyond the configured feasibility limit."""
+    """An exhaustive search was asked for an order above the cap its caller set."""
 
     def __init__(self, n: int, k: int, limit: int):
         self.n = n
         self.k = k
         self.limit = limit
         super().__init__(
-            f"exhaustive search for n={n}, k={k} exceeds the feasibility limit {limit}"
+            f"exhaustive search for n={n}, k={k} exceeds the order cap {limit}"
         )

@@ -33,31 +33,34 @@ vectors that cannot be min-images are cut while they are assigned
 and each level is visited in word order, so the first member of a class to
 reach the store is its min-image.
 
-One depth-first search covers an order, and a node budget caps the nodes it
-expands.
+One depth-first search covers an order, and a budget caps the steps it
+takes there: one per node and one per call of the path-end walk, so one
+cycle test cannot run unbounded either.  The budget is the only thing that
+stops a threshold search short of an answer.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import random
+import sys
 import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .coloring import ColoredCompleteGraph
+from .coloring import MAX_VERTICES, ColoredCompleteGraph
 from .constructions import (
     build_extremal_odd,
     build_ramsey_cycle_lower,
     gallai_ramsey_formula,
     ramsey_formula,
-    random_gallai,
 )
 from .detectors import (
     RAINBOW_TRIANGLE,
     Witness,
+    _OutOfSteps,
     _PathEnds,
+    _StepMeter,
     find_mono_cycle,
     find_rainbow_triangle,
 )
@@ -67,30 +70,9 @@ FOUND = "found"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-DEFAULT_LIMITS = {1: 64, 2: 9, 3: 7}
-FALLBACK_LIMIT = 6
-MAX_PROBE_ORDER = 64
-
-
-def feasibility_limit(k: int, overrides: dict[int, int] | None = None) -> int:
-    if overrides and k in overrides:
-        return overrides[k]
-    return DEFAULT_LIMITS.get(k, FALLBACK_LIMIT)
-
-
-def parse_limit_overrides(text: str) -> dict[int, int]:
-    """Parse '2:10,3:8' style limit overrides (as in GALLAI_LAB_LIMITS)."""
-    out: dict[int, int] = {}
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        k, _, n = piece.partition(":")
-        try:
-            out[int(k)] = int(n)
-        except ValueError:
-            raise ValueError(f"bad limit override {piece!r}, expected 'k:n'") from None
-    return out
+# steps per order for the threshold searches: enough to exhaust R(C9,C9) = 17
+# (5.65 million steps), and 12-45 s where the cycle walk dominates
+DEFAULT_BUDGET = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -125,12 +107,14 @@ class SearchStats:
     nodes: int = 0
     canonical: int = 0
     rejected: int = 0
+    steps: int = 0
     ms: int = 0
 
     def absorb(self, other: "SearchStats") -> None:
         self.nodes += other.nodes
         self.canonical += other.canonical
         self.rejected += other.rejected
+        self.steps += other.steps
         self.ms += other.ms
 
     def to_json_dict(self) -> dict:
@@ -138,6 +122,7 @@ class SearchStats:
             "nodes": self.nodes,
             "canonical": self.canonical,
             "rejected": self.rejected,
+            "steps": self.steps,
             "ms": self.ms,
         }
 
@@ -147,10 +132,6 @@ class SearchOutcome:
     status: str
     coloring: ColoredCompleteGraph | None
     stats: SearchStats
-
-
-class _BudgetHit(Exception):
-    pass
 
 
 def _refine(rows: list[list[int]], cells: list[int], targets: list[int]) -> tuple[list[int], list]:
@@ -368,18 +349,19 @@ class _ClassStore:
 
 
 def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int,
-                     triangles: list | None = None) -> list:
+                     triangles: list | None = None, meter: _StepMeter | None = None) -> list:
     """Per color c (index 0 unused), the path-end table of the coloring on 0..v-1.
 
     A color gets None when no C_m, m = forbidden[c - 1], fits on the v + 1
     vertices 0..v.  An m = 3 table does not depend on the prefix, its rows
     being the live adjacency rows, so one given in ``triangles`` is reused.
+    The tables count their walks on ``meter``.
     """
     prefix = (1 << v) - 1
     return [None] + [
         None if m > v + 1
         else triangles[c] if triangles is not None and m == 3
-        else _PathEnds(masks[c], prefix, m)
+        else _PathEnds(masks[c], prefix, m, meter)
         for c, m in enumerate(forbidden, 1)
     ]
 
@@ -387,9 +369,10 @@ def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int,
 class _Search:
     """One depth-first search over the colorings of K_n that avoid the problem.
 
-    ``budget`` caps the nodes expanded, None for no cap.  With ``collect``
-    every canonical coloring of order n is appended to it; without, the
-    search stops at the first one.
+    ``budget`` caps the steps taken, None for no cap: one per node and one
+    per call of a path-end walk.  With ``collect`` every canonical coloring
+    of order n is appended to it; without, the search stops at the first
+    one.
     """
 
     def __init__(self, problem: AvoidanceProblem, budget: int | None = None,
@@ -399,9 +382,9 @@ class _Search:
         self.colors = [[0] * n for _ in range(n)]
         self.masks = [[0] * n for _ in range(k + 1)]
         self.tables: list = [None] * n
+        self.meter = _StepMeter(budget)
         # at v = 2 only m = 3 fits: these are the m = 3 tables for every prefix
         self.triangles = _path_end_tables(self.masks, problem.forbidden, 2)
-        self.budget = budget
         self.collect = collect
         self.nodes = 0
         self.canonical = 0
@@ -415,19 +398,26 @@ class _Search:
         self.seen = _ClassStore([b for b in blocks.values() if len(b) > 1])
 
     def run(self) -> "_Search":
+        # _assign recurses once per edge: up to n * n more frames than the caller's
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + self.p.n ** 2)
         try:
             if self.p.n == 1:
                 # K_1 has no vertex to complete; it still counts as one node
                 self._count_node()
                 self.canonical += 1
             self._extend(1)
-        except _BudgetHit:
+        except _OutOfSteps:
             self.exceeded = True
+        finally:
+            sys.setrecursionlimit(limit)
         return self
 
     def _count_node(self) -> None:
-        if self.budget is not None and self.nodes >= self.budget:
-            raise _BudgetHit
+        meter = self.meter
+        if meter.steps >= meter.cap:
+            raise _OutOfSteps
+        meter.steps += 1
         self.nodes += 1
 
     def _done(self) -> bool:
@@ -449,7 +439,8 @@ class _Search:
                 self.collect.append(g)
             return
         # the coloring on 0..v-1 stays fixed while v's vector is assigned
-        self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v, self.triangles)
+        self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v, self.triangles,
+                                          self.meter)
         # at v = 1 edge {0,1} is not colored yet: no floor and no row to tie with
         self._assign(v, 0, max(1, self.colors[0][1]), v >= 2)
 
@@ -539,12 +530,6 @@ class _Search:
         self._extend(level)
 
 
-def _check_limit(problem: AvoidanceProblem, limit_overrides: dict[int, int] | None) -> None:
-    limit = feasibility_limit(problem.k, limit_overrides)
-    if problem.n > limit:
-        raise OverLimit(problem.n, problem.k, limit)
-
-
 def exists_avoiding(
     problem: AvoidanceProblem,
     budget: int | None = None,
@@ -553,11 +538,16 @@ def exists_avoiding(
     """Decide whether any coloring of K_n avoids everything the problem forbids.
 
     Returns found (with a coloring), exhausted, or budget_exceeded.  The
-    budget is a hard cap on the nodes expanded at this order.
+    budget is a hard cap on the steps taken at this order: one per node and
+    one per call of a path-end walk.  ``limit_overrides`` maps a palette
+    size to the largest order its caller allows; a larger order raises
+    OverLimit.
     """
     if budget is not None and budget < 1:
-        raise BadParameters(f"node budget {budget} must be at least 1")
-    _check_limit(problem, limit_overrides)
+        raise BadParameters(f"step budget {budget} must be at least 1")
+    limit = (limit_overrides or {}).get(problem.k)
+    if limit is not None and problem.n > limit:
+        raise OverLimit(problem.n, problem.k, limit)
     t0 = time.monotonic()
     s = _Search(problem, budget).run()
     if s.found is not None:
@@ -567,18 +557,16 @@ def exists_avoiding(
     else:
         status = EXHAUSTED
     ms = int((time.monotonic() - t0) * 1000)
-    return SearchOutcome(status, s.found, SearchStats(s.nodes, s.canonical, s.rejected, ms))
+    stats = SearchStats(s.nodes, s.canonical, s.rejected, s.meter.steps, ms)
+    return SearchOutcome(status, s.found, stats)
 
 
-def enumerate_avoiding(
-    problem: AvoidanceProblem, limit_overrides: dict[int, int] | None = None
-) -> list[ColoredCompleteGraph]:
+def enumerate_avoiding(problem: AvoidanceProblem) -> list[ColoredCompleteGraph]:
     """All avoiding colorings, one per class (test scale).
 
     A class is closed under vertex relabeling and under renaming colors
     with equal forbidden cycle lengths.
     """
-    _check_limit(problem, limit_overrides)
     out: list[ColoredCompleteGraph] = []
     _Search(problem, collect=out).run()
     return out
@@ -654,8 +642,8 @@ def reports_equivalent(a: SearchReport, b: SearchReport) -> bool:
         and a.lower == b.lower
         and a.upper == b.upper
         and a.witness == b.witness
-        and (a.stats.nodes, a.stats.canonical, a.stats.rejected)
-        == (b.stats.nodes, b.stats.canonical, b.stats.rejected)
+        and (a.stats.nodes, a.stats.canonical, a.stats.rejected, a.stats.steps)
+        == (b.stats.nodes, b.stats.canonical, b.stats.rejected, b.stats.steps)
     )
 
 
@@ -691,51 +679,21 @@ def _violation(g: ColoredCompleteGraph, forbidden: Sequence[int], rainbow: bool)
     return None
 
 
-def _probe_random_lower(
-    k: int,
-    forbidden: tuple[int, ...],
-    rainbow: bool,
-    start_order: int,
-    seed: int,
-    tries: int = 32,
-) -> ColoredCompleteGraph | None:
-    """Push the lower-bound witness upward with seeded random colorings."""
-    rng = random.Random(seed)
-    best = None
-    order = start_order
-    while order <= MAX_PROBE_ORDER:
-        hit = None
-        for _ in range(tries):
-            if rainbow:
-                g = random_gallai(order, k, rng.randrange(2**32))
-            else:
-                flat = [rng.randint(1, k) for _ in range(order * (order - 1) // 2)]
-                g = ColoredCompleteGraph(order, k, flat)
-            if _violation(g, forbidden, rainbow) is None:
-                hit = g
-                break
-        if hit is None:
-            break
-        best = hit
-        order += 1
-    return best
-
-
 def _run_threshold(
     family: str,
     params: dict,
     name: str,
     formula: int | None,
     budget: int | None,
-    seed: int,
-    limit_overrides: dict[int, int] | None,
     construction: ColoredCompleteGraph | None,
 ) -> SearchReport:
     """Search upward from the construction's order to the first order with no avoider.
 
     Induced colorings of an avoiding coloring still avoid, so a clean
-    construction settles every order up to its own.  An exact value is
-    checked against the closed form ``formula`` (None where none is known).
+    construction settles every order up to its own.  The search stops at
+    the first order that runs out of ``budget`` steps, or after order
+    MAX_VERTICES.  An exact value is checked against the closed form
+    ``formula`` (None where none is known).
     """
     k, forbidden, rainbow = _family_problem(family, params)
     witness, start = construction, 1
@@ -745,9 +703,9 @@ def _run_threshold(
             raise AssertionError(f"the {construction.n}-vertex construction contains a {w.kind}")
         start = construction.n + 1
     stats = SearchStats()
-    for order in range(start, feasibility_limit(k, limit_overrides) + 1):
+    for order in range(start, MAX_VERTICES + 1):
         problem = AvoidanceProblem(order, k, forbidden, rainbow)
-        out = exists_avoiding(problem, budget=budget, limit_overrides=limit_overrides)
+        out = exists_avoiding(problem, budget=budget)
         stats.absorb(out.stats)
         if out.status == EXHAUSTED:
             if formula is not None and order != formula:
@@ -758,24 +716,11 @@ def _run_threshold(
         if out.status == BUDGET_EXCEEDED:
             break
         witness = out.coloring
-    else:
-        # every order up to the limit has an avoider: push the witness further
-        probed = _probe_random_lower(
-            k, forbidden, rainbow, (witness.n if witness is not None else 0) + 1, seed
-        )
-        if probed is not None:
-            witness = probed
     lower = (witness.n if witness is not None else 0) + 1
     return SearchReport(family, params, None, lower, None, witness, stats)
 
 
-def search_ramsey(
-    m: int,
-    n: int,
-    budget: int | None = None,
-    seed: int = 0,
-    limit_overrides: dict[int, int] | None = None,
-) -> SearchReport:
+def search_ramsey(m: int, n: int, budget: int | None = DEFAULT_BUDGET) -> SearchReport:
     """The least order whose 2-colorings all contain a C_m in color 1 or C_n in color 2."""
     if m < 3 or n < 3:
         raise BadParameters(f"cycle orders m={m}, n={n} must be at least 3")
@@ -783,24 +728,18 @@ def search_ramsey(
     if m % 2 == 1 and 5 <= m <= n and 2 * n - 2 <= 64:
         construction, _ = build_ramsey_cycle_lower(m, n)
     return _run_threshold(
-        "Ramsey", {"m": m, "n": n, "seed": seed}, f"R(C_{m}, C_{n})", ramsey_formula(m, n),
-        budget, seed, limit_overrides, construction,
+        "Ramsey", {"m": m, "n": n, "budget": budget}, f"R(C_{m}, C_{n})", ramsey_formula(m, n),
+        budget, construction,
     )
 
 
-def search_gallai_ramsey(
-    m: int,
-    k: int,
-    budget: int | None = None,
-    seed: int = 0,
-    limit_overrides: dict[int, int] | None = None,
-) -> SearchReport:
+def search_gallai_ramsey(m: int, k: int, budget: int | None = DEFAULT_BUDGET) -> SearchReport:
     """The least order forcing, in every rainbow-triangle-free k-coloring, a mono C_m.
 
     With k <= 2 every coloring is trivially rainbow-triangle-free, so this is
-    the plain k-color cycle Ramsey question.  Beyond the exhaustive limit the
-    report carries a lower bound backed by a verified witness (the doubled
-    extremal coloring when m is odd, else the best probe).
+    the plain k-color cycle Ramsey question.  When an order runs out of
+    budget, the report carries a lower bound backed by a verified witness:
+    the last avoider found, or the doubled extremal coloring when m is odd.
     """
     if m < 3:
         raise BadParameters(f"cycle order m={m} must be at least 3")
@@ -812,8 +751,8 @@ def search_gallai_ramsey(
         if ell * 2**k <= 64:
             construction, _ = build_extremal_odd(ell, k)
     return _run_threshold(
-        "GallaiRamsey", {"m": m, "k": k, "seed": seed}, f"gr_{k}(K_3 : C_{m})",
-        gallai_ramsey_formula(m, k), budget, seed, limit_overrides, construction,
+        "GallaiRamsey", {"m": m, "k": k, "budget": budget}, f"gr_{k}(K_3 : C_{m})",
+        gallai_ramsey_formula(m, k), budget, construction,
     )
 
 

@@ -328,10 +328,10 @@ def test_acceptance_7_determinism():
         d1["stats"]["ms"] = d2["stats"]["ms"] = 0
         assert json.dumps(d1) == json.dumps(d2)
 
-        # (7, 3) rests on its construction and expands no node; (3, 3) searches
+        # (7, 3) runs out of budget at order 25; (3, 3) exhausts at 11
         for m in (7, 3):
-            g1 = search_gallai_ramsey(m, 3)
-            g2 = search_gallai_ramsey(m, 3)
+            g1 = search_gallai_ramsey(m, 3, budget=20_000)
+            g2 = search_gallai_ramsey(m, 3, budget=20_000)
             assert reports_equivalent(g1, g2)
             assert g1.witness == g2.witness
 

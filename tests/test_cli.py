@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -276,11 +279,12 @@ def test_verify_params_missing_a_family_key_fail_the_certificate(tmp_path, capsy
 def test_search_gallai_partial_via_cli(tmp_path, capsys):
     report = tmp_path / "g.json"
     code, _ = run(capsys, "search", "gallai", "--m", "7", "--k", "3",
-                  "--limit", "3:5", "-o", str(report))
+                  "--budget", "1000", "-o", str(report))
     assert code == 0
     payload = json.loads(report.read_text())
     assert payload["value"] is None
     assert payload["lower"] == 25
+    assert payload["params"]["budget"] == 1000
     code, out = run(capsys, "verify", str(report))
     assert code == 0
 
@@ -293,20 +297,24 @@ def test_search_missing_family_arguments(capsys):
 
 
 def test_search_limit_flag_and_env(tmp_path, capsys, monkeypatch):
-    # push the k=2 limit down via the environment, then override with the flag
+    # the budget is the one stop rule: the old order caps are gone, as flags
+    # and as the GALLAI_LAB_LIMITS environment variable
     monkeypatch.setenv("GALLAI_LAB_LIMITS", "2:4")
-    code, out = run(capsys, "search", "ramsey", "--m", "5", "--n", "5")
+    code, out = run(capsys, "search", "ramsey", "--m", "5", "--n", "6")
     assert code == 0
-    assert json.loads(out)["value"] is None  # capped under the true value
+    payload = json.loads(out)
+    assert payload["value"] == 11
+    assert payload["params"] == {"m": 5, "n": 6, "budget": 10_000_000}
+    for flag in ("--limit", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "ramsey", "--m", "5", "--n", "6", flag, "2"])
+        assert exc.value.code == 2
 
-    code, out = run(capsys, "search", "ramsey", "--m", "5", "--n", "5", "--limit", "2:9")
-    assert code == 0
-    assert json.loads(out)["value"] == 9
 
-    # a limit above the default reaches orders the default would refuse
-    code, out = run(capsys, "search", "ramsey", "--m", "5", "--n", "6", "--limit", "2:11")
+def test_search_past_the_default_recursion_limit(capsys):
+    code, out = run(capsys, "search", "gallai", "--m", "43", "--k", "1")
     assert code == 0
-    assert json.loads(out)["value"] == 11
+    assert json.loads(out)["value"] == 43
 
 
 def test_search_budget_covering_the_exhaustion_gives_the_value(capsys):
@@ -366,3 +374,32 @@ def test_main_calls_share_no_state(tmp_path, capsys):
     assert info.value.code == 2
     code, _ = run(capsys, "check", str(f), "--cycle", "4")
     assert code == 1
+
+
+# -- the README's command lines --------------------------------------------------------
+
+
+def _readme_command_lines() -> list[str]:
+    # every line of the README's sh blocks, and every inline span that runs
+    # the command; a span may wrap across lines
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines()]
+    lines += [span.replace("\n", " ") for span in re.findall(r"`(gallai-lab\s[^`]*)`", text)]
+    return lines
+
+
+def test_readme_command_lines_parse():
+    parsed = 0
+    for line in _readme_command_lines():
+        words = shlex.split(line, comments=True)
+        while words and re.fullmatch(r"[A-Za-z_]\w*=.*", words[0]):
+            words.pop(0)  # an environment prefix
+        if not words or words[0] != "gallai-lab":
+            continue
+        try:
+            build_parser().parse_args(words[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        parsed += 1
+    assert parsed >= 20

@@ -1,4 +1,4 @@
-"""Search engine: completeness, determinism, budgets, limits, certificates."""
+"""Search engine: completeness, determinism, budgets, certificates."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import hashlib
 import itertools
 import math
 import random
+import sys
+import time
 
 import pytest
 
@@ -33,8 +35,6 @@ from gallai_lab.search import (
     _refine,
     enumerate_avoiding,
     exists_avoiding,
-    feasibility_limit,
-    parse_limit_overrides,
     reports_equivalent,
     search_gallai_ramsey,
     search_ramsey,
@@ -140,7 +140,7 @@ def test_class_counts_of_rainbow_free_c5_three_colorings():
     # the level counts of the gr_3(K_3 : C_5) = 17 exhaustion, up to vertex
     # relabeling and renaming, and up to vertex relabeling alone
     reps = [
-        enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True), {3: 8})
+        enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True))
         for n in range(2, 9)
     ]
     assert [len(r) for r in reps] == [1, 2, 8, 23, 70, 150, 254]
@@ -175,15 +175,15 @@ def test_class_store_keeps_exactly_the_min_images(monkeypatch):
 
     monkeypatch.setattr(_ClassStore, "add", checked_add)
     for n in range(2, 12):
-        exists_avoiding(AvoidanceProblem(n, 2, (5, 6)), limit_overrides={2: 11})
+        exists_avoiding(AvoidanceProblem(n, 2, (5, 6)))
     for n in range(2, 13):
-        exists_avoiding(AvoidanceProblem(n, 2, (7, 7)), limit_overrides={2: 12})
+        exists_avoiding(AvoidanceProblem(n, 2, (7, 7)))
     for n in range(2, 9):
-        exists_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True), limit_overrides={3: 8})
+        exists_avoiding(AvoidanceProblem.uniform(n, 3, 5, rainbow=True))
     for n in range(2, 8):
         enumerate_avoiding(AvoidanceProblem(n, 2, (6, 6)))
     for n in range(2, 11):
-        enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 3, rainbow=True), {3: 10})
+        enumerate_avoiding(AvoidanceProblem.uniform(n, 3, 3, rainbow=True))
     assert {ell for ell, _, _ in calls} == set(range(2, 12))
     assert {kept for _, kept, _ in calls} == {True, False}
     # vertex min-images that a renaming of colors makes smaller
@@ -674,7 +674,7 @@ def test_found_colorings_are_always_clean():
             assert find_mono_cycle(g, c, m) is None
 
 
-# -- budget and limits ----------------------------------------------------------------
+# -- budgets and order caps ---------------------------------------------------------
 
 
 def test_budget_exceeded_is_reported_not_mistaken_for_exhaustion():
@@ -685,12 +685,13 @@ def test_budget_exceeded_is_reported_not_mistaken_for_exhaustion():
 
 
 def test_budget_is_one_cap_per_order():
-    # R(C3,C3) at n=6 exhausts in 9 nodes
+    # R(C3,C3) at n=6 exhausts in 9 nodes; a step is a node or a call of the
+    # cycle walk, and m = 3 needs no walk
     p = AvoidanceProblem.uniform(6, 2, 3)
     out = exists_avoiding(p, budget=9)
-    assert (out.status, out.stats.nodes) == (EXHAUSTED, 9)
+    assert (out.status, out.stats.nodes, out.stats.steps) == (EXHAUSTED, 9, 9)
     out = exists_avoiding(p, budget=8)
-    assert (out.status, out.stats.nodes) == (BUDGET_EXCEEDED, 8)
+    assert (out.status, out.stats.nodes, out.stats.steps) == (BUDGET_EXCEEDED, 8, 8)
     problems = [
         AvoidanceProblem.uniform(5, 2, 3),
         AvoidanceProblem(9, 2, (5, 5)),
@@ -699,14 +700,13 @@ def test_budget_is_one_cap_per_order():
     ]
     for p in problems:
         full = exists_avoiding(p)
-        exact = exists_avoiding(p, budget=full.stats.nodes)
-        assert (exact.status, exact.coloring, exact.stats.nodes) == (
-            full.status,
-            full.coloring,
-            full.stats.nodes,
-        )
-        short = exists_avoiding(p, budget=full.stats.nodes - 1)
-        assert (short.status, short.stats.nodes) == (BUDGET_EXCEEDED, full.stats.nodes - 1)
+        counts = (full.stats.nodes, full.stats.canonical, full.stats.rejected, full.stats.steps)
+        exact = exists_avoiding(p, budget=full.stats.steps)
+        assert (exact.status, exact.coloring) == (full.status, full.coloring)
+        assert (exact.stats.nodes, exact.stats.canonical, exact.stats.rejected,
+                exact.stats.steps) == counts
+        short = exists_avoiding(p, budget=full.stats.steps - 1)
+        assert (short.status, short.stats.steps) == (BUDGET_EXCEEDED, full.stats.steps - 1)
     with pytest.raises(BadParameters):
         exists_avoiding(AvoidanceProblem.uniform(1, 2, 3), budget=0)
 
@@ -715,23 +715,23 @@ def test_per_order_counts_with_and_without_renamings():
     # status and nodes/canonical/rejected pin the search itself; colors of
     # different forbidden lengths are never renamed, equal ones always
     cases = [
-        (AvoidanceProblem(9, 2, (5, 6)), None, (FOUND, 101, 63, 38)),
-        (AvoidanceProblem(10, 2, (5, 6)), {2: 10}, (FOUND, 102, 64, 38)),
-        (AvoidanceProblem(7, 2, (4, 5)), None, (EXHAUSTED, 38, 26, 12)),
-        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None, (EXHAUSTED, 48, 15, 33)),
+        (AvoidanceProblem(9, 2, (5, 6)), (FOUND, 101, 63, 38)),
+        (AvoidanceProblem(10, 2, (5, 6)), (FOUND, 102, 64, 38)),
+        (AvoidanceProblem(7, 2, (4, 5)), (EXHAUSTED, 38, 26, 12)),
+        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), (EXHAUSTED, 48, 15, 33)),
     ]
-    for p, limits, expected in cases:
-        out = exists_avoiding(p, limit_overrides=limits)
+    for p, expected in cases:
+        out = exists_avoiding(p)
         st = out.stats
         assert (out.status, st.nodes, st.canonical, st.rejected) == expected, p
 
 
-def _orders_until_exhausted(k, forbidden, rainbow, limits, digests=None):
+def _orders_until_exhausted(k, forbidden, rainbow, digests=None):
     # with ``digests``, each found coloring's serialized text is pinned too,
     # by the first 16 hex digits of its sha256
     rows = []
     for n in itertools.count(1):
-        out = exists_avoiding(AvoidanceProblem(n, k, forbidden, rainbow), limit_overrides=limits)
+        out = exists_avoiding(AvoidanceProblem(n, k, forbidden, rainbow))
         st = out.stats
         rows.append((out.status, st.nodes, st.canonical, st.rejected))
         if out.status != FOUND:
@@ -746,14 +746,14 @@ def test_per_order_counts_of_the_benchmark_searches():
     small = [(FOUND, 1, 1, 0), (FOUND, 1, 1, 0), (FOUND, 2, 2, 0), (FOUND, 3, 3, 0),
              (FOUND, 4, 4, 0), (FOUND, 5, 5, 0)]
     found = {"c5c6": [], "c6c6": [], "gallai-k3": []}
-    assert _orders_until_exhausted(2, (5, 6), False, {2: 11}, found["c5c6"]) == small + [
+    assert _orders_until_exhausted(2, (5, 6), False, found["c5c6"]) == small + [
         (FOUND, 21, 16, 5), (FOUND, 100, 62, 38), (FOUND, 101, 63, 38),
         (FOUND, 102, 64, 38), (EXHAUSTED, 263, 114, 149),
     ]
-    assert _orders_until_exhausted(2, (6, 6), False, None, found["c6c6"]) == small + [
+    assert _orders_until_exhausted(2, (6, 6), False, found["c6c6"]) == small + [
         (FOUND, 6, 6, 0), (EXHAUSTED, 229, 84, 145),
     ]
-    assert _orders_until_exhausted(3, (3, 3, 3), True, {3: 11}, found["gallai-k3"]) == small + [
+    assert _orders_until_exhausted(3, (3, 3, 3), True, found["gallai-k3"]) == small + [
         (FOUND, 6, 6, 0), (FOUND, 7, 7, 0), (FOUND, 9, 9, 0), (FOUND, 18, 16, 2),
         (EXHAUSTED, 94, 39, 55),
     ]
@@ -831,18 +831,18 @@ def test_every_counted_node_is_canonical_or_rejected():
     # cycles are pruned when an edge is colored, so every node the search
     # counts is a cycle-free vector that the canonicity test keeps or rejects
     problems = [
-        (AvoidanceProblem(9, 2, (5, 6)), None),
-        (AvoidanceProblem(11, 2, (5, 6)), {2: 11}),
-        (AvoidanceProblem(8, 2, (6, 6)), None),
-        (AvoidanceProblem(7, 2, (4, 5)), None),
-        (AvoidanceProblem.uniform(6, 2, 3), None),
-        (AvoidanceProblem.uniform(7, 3, 4, rainbow=True), None),
-        (AvoidanceProblem.uniform(10, 3, 3, rainbow=True), {3: 10}),
+        AvoidanceProblem(9, 2, (5, 6)),
+        AvoidanceProblem(11, 2, (5, 6)),
+        AvoidanceProblem(8, 2, (6, 6)),
+        AvoidanceProblem(7, 2, (4, 5)),
+        AvoidanceProblem.uniform(6, 2, 3),
+        AvoidanceProblem.uniform(7, 3, 4, rainbow=True),
+        AvoidanceProblem.uniform(10, 3, 3, rainbow=True),
     ]
     statuses = set()
-    for p, limits in problems:
+    for p in problems:
         for budget in (None, 1, 7, 60, 200):
-            out = exists_avoiding(p, budget=budget, limit_overrides=limits)
+            out = exists_avoiding(p, budget=budget)
             st = out.stats
             assert st.nodes == st.canonical + st.rejected, (p, budget)
             statuses.add(out.status)
@@ -864,26 +864,33 @@ def test_budgeted_search_is_deterministic():
 
 
 def test_feasibility_limits():
-    assert feasibility_limit(1) == 64
-    assert feasibility_limit(2) == 9
-    assert feasibility_limit(3) == 7
-    assert feasibility_limit(4) == 6
-    assert feasibility_limit(9) == 6
-    assert feasibility_limit(2, {2: 11}) == 11
+    # no order is capped by default; only a cap the caller sets raises OverLimit
+    p = AvoidanceProblem.uniform(10, 2, 5)
+    assert exists_avoiding(p).status == EXHAUSTED
     with pytest.raises(OverLimit):
-        exists_avoiding(AvoidanceProblem.uniform(10, 2, 5))
-    # raising the limit unlocks the order; the search space above the
-    # threshold is empty so this stays quick
-    out = exists_avoiding(AvoidanceProblem.uniform(10, 2, 5), limit_overrides={2: 10})
-    assert out.status == EXHAUSTED
+        exists_avoiding(p, limit_overrides={2: 9})
+    assert exists_avoiding(p, limit_overrides={2: 10, 3: 5}).status == EXHAUSTED
 
 
-def test_parse_limit_overrides():
-    assert parse_limit_overrides("2:10,3:8") == {2: 10, 3: 8}
-    assert parse_limit_overrides(" 4 : 7 ") == {4: 7}
-    assert parse_limit_overrides("") == {}
-    with pytest.raises(ValueError):
-        parse_limit_overrides("2=10")
+def test_search_recursion_reaches_order_sixty_four():
+    # the search recurses once per edge, past the default recursion limit at
+    # order 43; the limit is raised while it runs and restored afterwards
+    limit = sys.getrecursionlimit()
+    assert search_gallai_ramsey(43, 1).value == 43
+    rep = search_gallai_ramsey(64, 1)
+    assert rep.value == 64 and verify_certificate(rep).valid
+    assert sys.getrecursionlimit() == limit
+
+
+def test_one_cycle_test_cannot_outrun_the_budget():
+    # R(C5,C34): every order up to 33 has an avoider, found in milliseconds;
+    # at 34 the C34 test goes live, and one uncapped walk runs for over a minute
+    t0 = time.process_time()
+    rep = search_ramsey(5, 34, budget=200_000)
+    assert time.process_time() - t0 < 30
+    assert (rep.value, rep.lower, rep.upper, rep.witness.n) == (None, 34, None, 33)
+    assert rep.params == {"m": 5, "n": 34, "budget": 200_000}
+    assert verify_certificate(rep).valid
 
 
 def test_bad_problem_parameters():
@@ -909,19 +916,20 @@ def test_search_ramsey_small_exact_values():
     assert verify_certificate(rep).valid
 
 
-def test_search_thresholds_honor_raised_limits():
-    rep = search_ramsey(5, 6, limit_overrides={2: 11})
+def test_default_budget_settles_small_thresholds():
+    rep = search_ramsey(5, 6)
     assert rep.value == 11 == ramsey_formula(5, 6)
+    assert rep.params == {"m": 5, "n": 6, "budget": search.DEFAULT_BUDGET}
     # the 10-vertex construction settles orders 1..10; only n=11 is searched
     assert rep.stats.nodes == 263
     assert verify_certificate(rep).valid
-    rep = search_gallai_ramsey(3, 3, limit_overrides={3: 11})
+    rep = search_gallai_ramsey(3, 3)
     assert rep.value == 11 == gallai_ramsey_formula(3, 3)
     assert verify_certificate(rep).valid
 
 
 def test_search_ramsey_c5_c7_exhausts_at_thirteen():
-    rep = search_ramsey(5, 7, limit_overrides={2: 13})
+    rep = search_ramsey(5, 7)
     assert rep.value == 13 == ramsey_formula(5, 7)
     # the 12-vertex construction settles orders 1..12; only n=13 is searched
     assert rep.stats.nodes == 644
@@ -930,7 +938,7 @@ def test_search_ramsey_c5_c7_exhausts_at_thirteen():
 
 def test_search_gallai_c7_two_colors_exhausts_at_thirteen():
     # the paper's smallest instance: gr_2(K_3 : C_7) = 3 * 2^2 + 1
-    rep = search_gallai_ramsey(7, 2, limit_overrides={2: 13})
+    rep = search_gallai_ramsey(7, 2)
     assert rep.value == 13 == rep.lower == rep.upper == gallai_ramsey_formula(7, 2)
     # the 12-vertex doubled construction settles orders 1..12; only n=13 is searched
     assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (1280, 477, 803)
@@ -951,7 +959,7 @@ def test_search_gallai_c5_three_colors_exhausts_at_seventeen(monkeypatch):
         return kept
 
     monkeypatch.setattr(_ClassStore, "add", recording_add)
-    rep = search_gallai_ramsey(5, 3, limit_overrides={3: 17})
+    rep = search_gallai_ramsey(5, 3)
     assert rep.value == 17 == rep.lower == rep.upper == gallai_ramsey_formula(5, 3)
     # the 16-vertex doubled construction settles orders 1..16; only n=17 is searched
     assert (rep.stats.nodes, rep.stats.canonical, rep.stats.rejected) == (5066, 2167, 2899)
@@ -967,7 +975,7 @@ def test_search_gallai_c5_three_colors_exhausts_at_seventeen(monkeypatch):
 
 
 def test_search_ramsey_partial_prefers_construction_witness():
-    rep = search_ramsey(5, 7)  # true value 13, beyond the k=2 limit of 9
+    rep = search_ramsey(5, 7, budget=100)  # true value 13, 644 nodes at order 13
     assert rep.value is None and rep.upper is None
     assert rep.lower == 13
     assert rep.witness.n == 12
@@ -975,10 +983,11 @@ def test_search_ramsey_partial_prefers_construction_witness():
 
 
 def test_search_ramsey_respects_a_lowered_limit():
-    rep = search_ramsey(5, 5, limit_overrides={2: 6})
+    rep = search_ramsey(5, 5, budget=10)
     assert rep.value is None
-    # construction on 8 vertices plus a failed probe at 9 pins the bound
-    assert rep.lower == 9
+    # the construction on 8 vertices pins the bound; order 9 ran out of steps
+    assert (rep.lower, rep.stats.steps) == (9, 10)
+    assert rep.params == {"m": 5, "n": 5, "budget": 10}
     assert verify_certificate(rep).valid
 
 
@@ -999,15 +1008,15 @@ def test_search_reports_are_run_to_run_identical():
     a = search_ramsey(4, 5)
     b = search_ramsey(4, 5)
     assert reports_equivalent(a, b)
-    # (5, 3) rests on its construction and expands no node; (3, 3) searches
+    # (5, 3) runs out of budget at order 17; (3, 3) exhausts at 11
     for m in (5, 3):
-        c = search_gallai_ramsey(m, 3)
-        d = search_gallai_ramsey(m, 3)
+        c = search_gallai_ramsey(m, 3, budget=20_000)
+        d = search_gallai_ramsey(m, 3, budget=20_000)
         assert reports_equivalent(c, d)
 
 
 def test_search_gallai_partial_uses_doubled_construction():
-    rep = search_gallai_ramsey(7, 3, limit_overrides={3: 6})
+    rep = search_gallai_ramsey(7, 3, budget=1000)
     assert rep.value is None
     assert rep.lower == 25  # 3 * 2^3 + 1
     assert rep.witness.n == 24
@@ -1042,7 +1051,7 @@ def test_report_json_round_trip():
     rep = search_ramsey(4, 4)
     d = rep.to_json_dict(witness_file="w.txt")
     assert d["witness_file"] == "w.txt"
-    assert set(d["stats"].keys()) == {"nodes", "canonical", "rejected", "ms"}
+    assert set(d["stats"].keys()) == {"nodes", "canonical", "rejected", "steps", "ms"}
     again = SearchReport.from_json_dict(d, witness=rep.witness)
     assert reports_equivalent(rep, again)
 
@@ -1084,10 +1093,15 @@ def test_verify_accepts_reports_with_the_dropped_n_max_param():
     d = rep.to_json_dict()
     d["params"]["n_max"] = None
     assert verify_certificate(SearchReport.from_json_dict(d, witness=rep.witness)).valid
+    # later ones wrote a probe seed in place of the budget, and no steps
+    d = rep.to_json_dict()
+    del d["params"]["budget"], d["stats"]["steps"]
+    d["params"]["seed"] = 0
+    assert verify_certificate(SearchReport.from_json_dict(d, witness=rep.witness)).valid
 
 
 def test_verify_certificate_checks_partial_shape():
-    rep = search_ramsey(5, 7)
+    rep = search_ramsey(5, 7, budget=100)
     bent = SearchReport.from_json_dict(rep.to_json_dict(), witness=rep.witness)
     bent.upper = 99
     assert not verify_certificate(bent).valid
