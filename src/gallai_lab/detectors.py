@@ -11,8 +11,8 @@ Exact-length cycles and paths have one engine, the path-end table
 too.  A table settles whether some simple path of a given length runs from
 a vertex to a target set; ``_first_path`` then recovers the
 lexicographically first such path, and both ``find_mono_cycle`` and
-``find_mono_path`` are built on it.  A table counts its walk's calls on a
-``_StepMeter``, which the search caps and the detectors leave uncapped.
+``find_mono_path`` are built on it.  The search counts a table's walk on a
+``_StepMeter`` that caps it; the detectors' tables run uncapped.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ class _OutOfSteps(Exception):
 class _StepMeter:
     """A count of work done against a cap, None for no cap.
 
-    A step is one call of a path-end walk or, in the search, one node.
+    A call of a path-end walk is one step; the search adds its nodes'
+    weights (``search._Search._count_node``).
     """
 
     __slots__ = ("steps", "cap")
@@ -92,9 +93,10 @@ class _PathEnds:
     when row u meets x's neighbors.  ``ends[u]`` holds the ends found so far
     and ``ruled_out[u]`` the vertices shown not to be ends; the relation is
     symmetric, so each finding is stored both ways.  For m = 3 the rows are
-    the adjacency rows themselves and nothing is left to find.  Each call of
-    the walk is a step on ``meter`` (a fresh, uncapped one by default), and
-    a walk that reaches the meter's cap raises ``_OutOfSteps``.
+    the adjacency rows themselves and nothing is left to find.  With a
+    ``meter``, each call of the walk is a step on it, and a walk that
+    reaches the meter's cap raises ``_OutOfSteps``; with none it is
+    uncapped.
     """
 
     __slots__ = ("masks", "universe", "m", "ends", "ruled_out", "meter")
@@ -104,7 +106,7 @@ class _PathEnds:
         self.masks = masks
         self.universe = universe
         self.m = m
-        self.meter = _StepMeter() if meter is None else meter
+        self.meter = meter
         if m == 3:
             self.ends = masks
             self.ruled_out = [-1] * len(masks)
@@ -127,7 +129,7 @@ class _PathEnds:
         masks, universe = self.masks, self.universe
         bu = 1 << u
         meter = self.meter
-        steps, cap = meter.steps, meter.cap
+        steps, cap = (0, sys.maxsize) if meter is None else (meter.steps, meter.cap)
 
         def grow(x: int, seen: int, left: int) -> bool:
             nonlocal steps
@@ -170,7 +172,8 @@ class _PathEnds:
         try:
             hit = grow(u, bu, self.m - 2)
         finally:
-            meter.steps = steps
+            if meter is not None:
+                meter.steps = steps
         if hit:
             return True
         self.ruled_out[u] |= targets

@@ -34,9 +34,13 @@ and each level is visited in word order, so the first member of a class to
 reach the store is its min-image.
 
 One depth-first search covers an order, and a budget caps the steps it
-takes there: one per node and one per call of the path-end walk, so one
-cycle test cannot run unbounded either.  The budget is the only thing that
-stops a threshold search short of an answer.
+takes there.  A call of the path-end walk is one step, so one cycle test
+cannot run unbounded either.  A node of order l with k colors is l * k
+steps, one per vertex and color of the coloring the store refines: its
+cost grows with both, and so weighed a step costs about what a walk call
+does (1.2-5 microseconds in walk-bound and node-bound runs alike, Python
+3.11 on a shared 2-vCPU VM).  The budget is the only thing that stops a
+threshold search short of an answer.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget_exceeded"
 
 # steps per order for the threshold searches: enough to exhaust R(C9,C9) = 17
-# (5.65 million steps), and 12-45 s where the cycle walk dominates
+# (6.65 million steps), and about 10-60 s for an order that runs out
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -369,8 +373,8 @@ def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int,
 class _Search:
     """One depth-first search over the colorings of K_n that avoid the problem.
 
-    ``budget`` caps the steps taken, None for no cap: one per node and one
-    per call of a path-end walk.  With ``collect`` every canonical coloring
+    ``budget`` caps the steps taken, None for no cap: l * k per node of
+    order l and one per call of a path-end walk.  With ``collect`` every canonical coloring
     of order n is appended to it; without, the search stops at the first
     one.
     """
@@ -404,7 +408,7 @@ class _Search:
         try:
             if self.p.n == 1:
                 # K_1 has no vertex to complete; it still counts as one node
-                self._count_node()
+                self._count_node(1)
                 self.canonical += 1
             self._extend(1)
         except _OutOfSteps:
@@ -413,11 +417,13 @@ class _Search:
             sys.setrecursionlimit(limit)
         return self
 
-    def _count_node(self) -> None:
+    def _count_node(self, level: int) -> None:
+        # a node weighs level * k steps; one that would pass the cap is not taken
         meter = self.meter
-        if meter.steps >= meter.cap:
+        steps = meter.steps + level * self.p.k
+        if steps > meter.cap:
             raise _OutOfSteps
-        meter.steps += 1
+        meter.steps = steps
         self.nodes += 1
 
     def _done(self) -> bool:
@@ -516,8 +522,8 @@ class _Search:
         return True
 
     def _complete_vertex(self, v: int) -> None:
-        self._count_node()
         level = v + 1
+        self._count_node(level)
         if level == self.p.n and self.collect is None:
             # decision mode: any completion certifies "found", canonicity is moot
             self.canonical += 1
@@ -538,8 +544,8 @@ def exists_avoiding(
     """Decide whether any coloring of K_n avoids everything the problem forbids.
 
     Returns found (with a coloring), exhausted, or budget_exceeded.  The
-    budget is a hard cap on the steps taken at this order: one per node and
-    one per call of a path-end walk.  ``limit_overrides`` maps a palette
+    budget is a hard cap on the steps taken at this order: l * k per node
+    of order l and one per call of a path-end walk.  ``limit_overrides`` maps a palette
     size to the largest order its caller allows; a larger order raises
     OverLimit.
     """
@@ -621,7 +627,8 @@ class SearchReport:
         if (type(stats) is not dict or not stats.keys() <= SearchStats.__dataclass_fields__.keys()
                 or any(type(x) is not int for x in stats.values())):
             raise ValueError(
-                f"report stats {stats!r} must map nodes, canonical, rejected, ms to integers")
+                f"report stats {stats!r} must map nodes, canonical, rejected, steps, ms"
+                " to integers")
         return cls(
             family=_field(d, "family", str),
             params=_field(d, "params", dict),

@@ -318,11 +318,11 @@ def test_search_past_the_default_recursion_limit(capsys):
 
 
 def test_search_budget_covering_the_exhaustion_gives_the_value(capsys):
-    # the exhausting order n=6 takes 9 nodes
-    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "9")
+    # the exhausting order n=6 takes 9 nodes, 60 steps
+    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "60")
     assert code == 0
     assert json.loads(out)["value"] == 6
-    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "8")
+    code, out = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "59")
     assert code == 0
     payload = json.loads(out)
     assert (payload["value"], payload["lower"]) == (None, 6)

@@ -685,13 +685,14 @@ def test_budget_exceeded_is_reported_not_mistaken_for_exhaustion():
 
 
 def test_budget_is_one_cap_per_order():
-    # R(C3,C3) at n=6 exhausts in 9 nodes; a step is a node or a call of the
-    # cycle walk, and m = 3 needs no walk
+    # R(C3,C3) at n=6 exhausts in 9 nodes.  A node of order l is l * k
+    # steps, here 2 * l, and m = 3 needs no walk: 60 steps in all.  The last
+    # node, of order 2, does not fit in 59, and a run never passes its cap
     p = AvoidanceProblem.uniform(6, 2, 3)
-    out = exists_avoiding(p, budget=9)
-    assert (out.status, out.stats.nodes, out.stats.steps) == (EXHAUSTED, 9, 9)
-    out = exists_avoiding(p, budget=8)
-    assert (out.status, out.stats.nodes, out.stats.steps) == (BUDGET_EXCEEDED, 8, 8)
+    out = exists_avoiding(p, budget=60)
+    assert (out.status, out.stats.nodes, out.stats.steps) == (EXHAUSTED, 9, 60)
+    out = exists_avoiding(p, budget=59)
+    assert (out.status, out.stats.nodes, out.stats.steps) == (BUDGET_EXCEEDED, 8, 56)
     problems = [
         AvoidanceProblem.uniform(5, 2, 3),
         AvoidanceProblem(9, 2, (5, 5)),
@@ -706,7 +707,8 @@ def test_budget_is_one_cap_per_order():
         assert (exact.stats.nodes, exact.stats.canonical, exact.stats.rejected,
                 exact.stats.steps) == counts
         short = exists_avoiding(p, budget=full.stats.steps - 1)
-        assert (short.status, short.stats.steps) == (BUDGET_EXCEEDED, full.stats.steps - 1)
+        assert short.status == BUDGET_EXCEEDED
+        assert short.stats.steps <= full.stats.steps - 1
     with pytest.raises(BadParameters):
         exists_avoiding(AvoidanceProblem.uniform(1, 2, 3), budget=0)
 
@@ -893,6 +895,19 @@ def test_one_cycle_test_cannot_outrun_the_budget():
     assert verify_certificate(rep).valid
 
 
+def test_a_node_weighs_its_order_times_its_colors():
+    # with only triangles forbidden no walk runs, and every step is a node's
+    # weight.  gr_5(K_3 : C_3) finds avoiders up to order 41 in seconds; at 42
+    # a node is up to 42 * 5 = 210 steps, so the default budget ends that
+    # order within a minute, where one step per node took hours
+    p = AvoidanceProblem.uniform(42, 5, 3, rainbow=True)
+    out = exists_avoiding(p, budget=20_000)
+    assert (out.status, out.stats.nodes, out.stats.steps) == (BUDGET_EXCEEDED, 143, 19_955)
+    rep = search_gallai_ramsey(3, 5, budget=100_000)
+    assert (rep.value, rep.lower, rep.stats.nodes) == (None, 40, 3018)
+    assert verify_certificate(rep).valid
+
+
 def test_bad_problem_parameters():
     with pytest.raises(BadParameters):
         AvoidanceProblem(5, 2, (3,))
@@ -985,8 +1000,9 @@ def test_search_ramsey_partial_prefers_construction_witness():
 def test_search_ramsey_respects_a_lowered_limit():
     rep = search_ramsey(5, 5, budget=10)
     assert rep.value is None
-    # the construction on 8 vertices pins the bound; order 9 ran out of steps
-    assert (rep.lower, rep.stats.steps) == (9, 10)
+    # the construction on 8 vertices pins the bound; at order 9 nodes of
+    # orders 2 and 3 (4 + 6 steps) use the 10 steps, one of order 4 does not fit
+    assert (rep.lower, rep.stats.nodes, rep.stats.steps) == (9, 2, 10)
     assert rep.params == {"m": 5, "n": 5, "budget": 10}
     assert verify_certificate(rep).valid
 
