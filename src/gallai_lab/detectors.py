@@ -8,11 +8,11 @@ claim directly on the host graph and is the final word on correctness.
 
 Exact-length cycles and paths have one engine, the path-end table
 ``_PathEnds`` defined here, which the search's edge-time cycle test reads
-too.  A table settles whether some simple path of a given length runs from
-a vertex to a target set; ``_first_path`` then recovers the
-lexicographically first such path, and both ``find_mono_cycle`` and
-``find_mono_path`` are built on it.  The search counts a table's walk on a
-``_StepMeter`` that caps it; the detectors' tables run uncapped.
+too.  A table's walk settles whether some simple path of a given length
+runs from a vertex to a target set and stops on the lexicographically first
+one, so in ``_first_path``, on which ``find_mono_cycle`` and
+``find_mono_path`` are built, one walk decides and returns the path.  Every
+table counts its walk on a ``_StepMeter``, which only the search caps.
 """
 
 from __future__ import annotations
@@ -93,10 +93,9 @@ class _PathEnds:
     when row u meets x's neighbors.  ``ends[u]`` holds the ends found so far
     and ``ruled_out[u]`` the vertices shown not to be ends; the relation is
     symmetric, so each finding is stored both ways.  For m = 3 the rows are
-    the adjacency rows themselves and nothing is left to find.  With a
-    ``meter``, each call of the walk is a step on it, and a walk that
-    reaches the meter's cap raises ``_OutOfSteps``; with none it is
-    uncapped.
+    the adjacency rows themselves and nothing is left to find.  Each call of
+    the walk is a step on ``meter``, and a walk that reaches the meter's cap
+    raises ``_OutOfSteps``; a table given no meter gets an uncapped one.
     """
 
     __slots__ = ("masks", "universe", "m", "ends", "ruled_out", "meter")
@@ -106,7 +105,7 @@ class _PathEnds:
         self.masks = masks
         self.universe = universe
         self.m = m
-        self.meter = meter
+        self.meter = _StepMeter() if meter is None else meter
         if m == 3:
             self.ends = masks
             self.ruled_out = [-1] * len(masks)
@@ -114,11 +113,15 @@ class _PathEnds:
             self.ends = [0] * len(masks)
             self.ruled_out = [0] * len(masks)
 
-    def closes(self, u: int, targets: int) -> bool:
+    def closes(self, u: int, targets: int, path: list[int] | None = None) -> bool:
         """Does row u meet ``targets``, a set of vertices in ``universe``?
 
         Rows are only filled as far as questions need: a depth-first search
-        from u over simple paths, stopped at the first target it reaches.
+        from u over simple paths, stopped at the first target it reaches.  It
+        tries neighbors in ascending order and cuts only dead branches, so the
+        branch it stops on is the lexicographically first path from u to a
+        target.  A walk that finds one appends that path to ``path``, last
+        vertex first; an answer read from the rows appends nothing.
         """
         ends = self.ends
         if targets & ends[u]:
@@ -129,7 +132,7 @@ class _PathEnds:
         masks, universe = self.masks, self.universe
         bu = 1 << u
         meter = self.meter
-        steps, cap = (0, sys.maxsize) if meter is None else (meter.steps, meter.cap)
+        steps, cap = meter.steps, meter.cap
 
         def grow(x: int, seen: int, left: int) -> bool:
             nonlocal steps
@@ -153,7 +156,13 @@ class _PathEnds:
                         low = new & -new
                         ends[low.bit_length() - 1] |= bu
                         new ^= low
-                return bool(found & targets)
+                found &= targets
+                if found and path is not None:
+                    # the lowest neighbor that reaches a target (cand is used up)
+                    y = next(y for y in bits(masks[x] & avail) if masks[y] & found)
+                    last = masks[y] & found
+                    path.extend(((last & -last).bit_length() - 1, y, x))
+                return bool(found)
             if left > 3:
                 # exact-steps walk cut: a walk of the remaining length must end
                 # on a target (with three edges left it costs what it saves)
@@ -165,6 +174,8 @@ class _PathEnds:
             while cand:
                 low = cand & -cand
                 if grow(low.bit_length() - 1, seen | low, left - 1):
+                    if path is not None:
+                        path.append(x)
                     return True
                 cand ^= low
             return False
@@ -172,8 +183,7 @@ class _PathEnds:
         try:
             hit = grow(u, bu, self.m - 2)
         finally:
-            if meter is not None:
-                meter.steps = steps
+            meter.steps = steps
         if hit:
             return True
         self.ruled_out[u] |= targets
@@ -189,23 +199,19 @@ def _first_path(
 
     Its other vertices lie in ``universe`` (x need not) and its last one in
     ``targets``, a subset of ``universe``.  When x's component has room for
-    the path, one path-end table settles whether it exists; only then is it
-    recovered, one vertex at a time: the lowest neighbor from which a fresh
-    table still finds the rest of it.
+    the path, one walk of a fresh path-end table decides whether it exists
+    and returns it.  A one-edge path is x and its lowest neighbor in
+    ``targets``: a C_3 table's rows are the adjacency rows, so it never walks.
     """
     if closure(masks, 1 << x, universe | 1 << x).bit_count() <= edges:
         return None
-    if not _PathEnds(masks, universe, edges + 2).closes(x, targets):
+    if edges == 1:
+        last = masks[x] & targets
+        return [x, (last & -last).bit_length() - 1] if last else None
+    path: list[int] = []
+    if not _PathEnds(masks, universe, edges + 2).closes(x, targets, path):
         return None
-    path = [x]
-    avail = universe & ~(1 << x)
-    for left in range(edges - 1, 0, -1):
-        table = _PathEnds(masks, avail, left + 2)
-        y = next(y for y in bits(masks[path[-1]] & avail) if table.closes(y, targets & avail))
-        path.append(y)
-        avail ^= 1 << y
-    last = masks[path[-1]] & avail & targets
-    path.append((last & -last).bit_length() - 1)
+    path.reverse()
     return path
 
 
@@ -443,24 +449,15 @@ def colored_path_split(
         if dr + db < required:
             raise DegreePreconditionFailed(v, dr, db, required)
     if sum(m.bit_count() for m in red_masks) > n * (a - 2):
-        return _dense_color_path(g, red, red_masks, a)
+        return _dense_color_path(g, red, a)
     assert sum(m.bit_count() for m in blue_masks) > n * (b - 2)
-    return _dense_color_path(g, blue, blue_masks, b)
+    return _dense_color_path(g, blue, b)
 
 
-def _dense_color_path(
-    g: ColoredCompleteGraph, color: int, masks: Sequence[int], order: int
-) -> Witness:
+def _dense_color_path(g: ColoredCompleteGraph, color: int, order: int) -> Witness:
     if order <= 1:
         # an order-0 request is vacuous; promote to a single vertex
         return Witness(MONO_PATH, (0,), color)
-    if order == 2:
-        for u in range(g.n):
-            above = masks[u] >> (u + 1)
-            if above:
-                v = u + 1 + (above & -above).bit_length() - 1
-                return Witness(MONO_PATH, (u, v), color)
-        raise AssertionError("dense color class has no edge")
     w = erdos_gallai_path(g.color_class(color), order - 1, color)
     assert w is not None
     return w

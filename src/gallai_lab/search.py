@@ -370,13 +370,17 @@ def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int,
     ]
 
 
+class _Found(Exception):
+    """A decision-mode search completed its first avoider, ``args[0]``."""
+
+
 class _Search:
     """One depth-first search over the colorings of K_n that avoid the problem.
 
     ``budget`` caps the steps taken, None for no cap: l * k per node of
     order l and one per call of a path-end walk.  With ``collect`` every canonical coloring
     of order n is appended to it; without, the search stops at the first
-    one.
+    one by raising ``_Found``.
     """
 
     def __init__(self, problem: AvoidanceProblem, budget: int | None = None,
@@ -411,6 +415,8 @@ class _Search:
                 self._count_node(1)
                 self.canonical += 1
             self._extend(1)
+        except _Found as stop:
+            self.found = stop.args[0]
         except _OutOfSteps:
             self.exceeded = True
         finally:
@@ -426,9 +432,6 @@ class _Search:
         meter.steps = steps
         self.nodes += 1
 
-    def _done(self) -> bool:
-        return self.found is not None and self.collect is None
-
     def _to_graph(self) -> ColoredCompleteGraph:
         n = self.p.n
         flat = []
@@ -439,10 +442,9 @@ class _Search:
     def _extend(self, v: int) -> None:
         if v == self.p.n:
             g = self._to_graph()
-            if self.found is None:
-                self.found = g
-            if self.collect is not None:
-                self.collect.append(g)
+            if self.collect is None:
+                raise _Found(g)
+            self.collect.append(g)
             return
         # the coloring on 0..v-1 stays fixed while v's vector is assigned
         self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v, self.triangles,
@@ -471,8 +473,6 @@ class _Search:
         avoider is the min-image of its class and its parent the min-image
         of its own, so no bound cuts either and the store kept the parent.
         """
-        if self._done():
-            return
         if u == v:
             self._complete_vertex(v)
             return
@@ -491,8 +491,6 @@ class _Search:
             masks[c][u] ^= bv
             masks[c][v] ^= bu
             colors[u][v] = colors[v][u] = 0
-            if self._done():
-                return
 
     def _edge_ok(self, u: int, v: int, c: int) -> bool:
         """May edge {u, v} (u < v) take color c, given the edges colored so far?

@@ -7,7 +7,14 @@ import random
 
 import pytest
 
-from gallai_lab.coloring import BitGraph, ColoredCompleteGraph, complete_monochromatic
+from gallai_lab import detectors
+from gallai_lab.coloring import (
+    BitGraph,
+    ColoredCompleteGraph,
+    build,
+    closure,
+    complete_monochromatic,
+)
 from gallai_lab.constructions import build_extremal_odd, random_gallai
 from gallai_lab.detectors import (
     HAMILTON_CYCLE,
@@ -15,6 +22,7 @@ from gallai_lab.detectors import (
     MONO_PATH,
     RAINBOW_TRIANGLE,
     Witness,
+    _first_path,
     _PathEnds,
     canonical_cycle,
     canonical_path,
@@ -344,6 +352,80 @@ def test_witnesses_are_the_lexicographically_first():
             w = erdos_gallai_path(h, edges, c)
             assert (None if w is None else w.vertices) == first
     assert found > 100 and fallbacks > 100
+
+
+def test_first_path_is_one_walk_of_one_table(monkeypatch):
+    # the walk that decides whether the path exists also returns it, and it
+    # is the lexicographically first path, for any universe and targets: no
+    # table is built per path vertex to recover it.  A one-edge path builds
+    # no table at all
+    built = []
+
+    class Counted(_PathEnds):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(detectors, "_PathEnds", Counted)
+    rng = random.Random(23)
+    walked = 0
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        masks = random_bitgraph(rng, n, rng.uniform(0.3, 0.8)).masks
+        x = rng.randrange(n)
+        edges = rng.randint(1, n - 1)
+        others = [w for w in range(n) if w != x and rng.random() < 0.85]
+        universe = sum(1 << w for w in others)
+        targets = universe & rng.randrange(1 << n)
+        first = next(
+            (
+                [x, *rest]
+                for rest in itertools.permutations(others, edges)
+                if targets >> rest[-1] & 1
+                and all(masks[a] >> b & 1 for a, b in zip((x, *rest), rest))
+            ),
+            None,
+        )
+        built.clear()
+        assert _first_path(masks, x, edges, universe, targets) == first, (masks, x, edges)
+        room = closure(masks, 1 << x, universe | 1 << x).bit_count() > edges
+        assert len(built) == (1 if room and edges > 1 else 0)
+        walked += first is not None and edges > 1
+    assert walked > 30
+
+
+def _sparse_two_coloring(n: int, p: float, seed: int) -> ColoredCompleteGraph:
+    # each pair, in flat order, takes color 1 with probability p
+    rng = random.Random(seed)
+    return ColoredCompleteGraph(n, 2, [1 if rng.random() < p else 2 for _ in range(n * (n - 1) // 2)])
+
+
+def test_long_witnesses_in_sparse_classes_are_pinned():
+    # a path on all but one vertex and a cycle on all but one, each found
+    # deep in the walk, where a wrong recovery would show
+    g = _sparse_two_coloring(22, 0.2, 5)
+    assert find_mono_path(g, 1, 21).vertices == (
+        0, 4, 7, 11, 2, 12, 1, 5, 15, 21, 17, 20, 6, 13, 16, 19, 9, 8, 14, 3, 10)
+    g = _sparse_two_coloring(24, 0.25, 3)
+    assert find_mono_cycle(g, 1, 23).vertices == (
+        0, 1, 9, 2, 3, 4, 7, 13, 20, 8, 15, 17, 5, 23, 12, 19, 22, 16, 6, 11, 10, 18, 21)
+
+
+@pytest.mark.parametrize("ring, next_to_5", [((4, 1, 5, 2, 3), 2), ((1, 5, 3, 2, 4, 1), 3)])
+def test_one_edge_paths_on_a_path_and_a_cycle_host(ring, next_to_5):
+    # color 1 is a path or a cycle on 1..5 and vertex 0 is isolated: every
+    # engine gives the lowest vertex with an edge and its lowest neighbor
+    edges = set(zip(ring, ring[1:]))
+    g = build(6, 2, {(u, v): 1 if (u, v) in edges or (v, u) in edges else 2
+                     for u, v in itertools.combinations(range(6), 2)})
+    expect = Witness(MONO_PATH, (1, 4), 1)
+    assert find_mono_path(g, 1, 2) == expect
+    assert erdos_gallai_path(g.color_class(1), 1, 1) == expect
+    assert colored_path_split(g, 1, 2, 2, 6) == expect
+    assert _first_path(g.class_masks(1), 0, 1, 0b111110, 0b111110) is None
+    assert _first_path(g.class_masks(1), 5, 1, 0b011111, 0b001100) == [5, next_to_5]
 
 
 # -- Dirac engine ----------------------------------------------------------------
