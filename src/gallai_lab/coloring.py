@@ -5,7 +5,8 @@ every unordered pair of vertices of K_n.  Values are immutable after
 construction; every transformation returns a new graph.  The authoritative
 store is a flat upper-triangular tuple; per-color adjacency bitsets are
 derived once at construction and shared by all detectors.  The bitset fast
-path caps the order at 64 vertices.
+path caps the order at 64 vertices.  ``substitute`` and ``random_gallai`` (in
+``constructions``) share one store-level kernel, ``_substitute_store``.
 """
 
 from __future__ import annotations
@@ -157,9 +158,7 @@ class ColoredCompleteGraph:
         if store and not (1 <= min(store) and max(store) <= k):
             # Locate the first bad entry in store order for the error.
             for v in range(1, n):
-                base = v * (v - 1) // 2
-                for u in range(v):
-                    c = store[base + u]
+                for u, c in enumerate(store[v * (v - 1) // 2 : v * (v + 1) // 2]):
                     if not 1 <= c <= k:
                         raise ColorOutOfRange(u, v, c, k)
         self.n = n
@@ -268,24 +267,25 @@ def substitute(
     """
     if len(parts) != base.n:
         raise ArityMismatch(base.n, len(parts))
-    total = sum(p.n for p in parts)
+    sizes = [p.n for p in parts]
+    total = sum(sizes)
     if total > MAX_VERTICES:
         raise SizeLimitExceeded(f"substitution result has {total} > {MAX_VERTICES} vertices")
-    k = max(base.k, max(p.k for p in parts))
-    base_colors = base.edge_colors()
+    flat = _substitute_store(base.edge_colors(), sizes, [p.edge_colors() for p in parts])
+    return ColoredCompleteGraph(total, max(base.k, max(p.k for p in parts)), flat)
+
+
+def _substitute_store(base_colors: Sequence[int], sizes: list[int], stores: list) -> list[int]:
+    """Flat store of ``substitute``; part i has sizes[i] vertices and flat store stores[i]."""
     flat: list[int] = []
-    for i, p in enumerate(parts):
-        # Row of a vertex in copy i: the base color of {j,i} for every vertex
-        # of each earlier copy j, then its own row of parts[i].
+    for i, colors in enumerate(stores):
+        # A vertex of copy i sees each earlier copy j in base color {j,i}, then its part's row.
         row = i * (i - 1) // 2
-        lead: list[int] = []
-        for j in range(i):
-            lead += [base_colors[row + j]] * parts[j].n
-        colors = p.edge_colors()
-        for v in range(p.n):
+        lead = [base_colors[row + j] for j in range(i) for _ in range(sizes[j])]
+        for v in range(sizes[i]):
             flat += lead
             flat += colors[v * (v - 1) // 2 : v * (v + 1) // 2]
-    return ColoredCompleteGraph(total, k, flat)
+    return flat
 
 
 def relabel(g: ColoredCompleteGraph, perm: Sequence[int]) -> ColoredCompleteGraph:
@@ -304,16 +304,17 @@ def relabel(g: ColoredCompleteGraph, perm: Sequence[int]) -> ColoredCompleteGrap
 #
 # Line 1 is "n k".  For i = 1..n-1, the next line holds i space-separated
 # color ids, entry j giving the color of {j,i} for j < i.  Lines starting
-# with '#' are comments and are ignored by the parser.  A trailing newline
-# is required.
+# with '#' are comments, one per line of comment text, and the parser skips
+# them.  A trailing newline is required.
 
 
 def serialize(g: ColoredCompleteGraph, comments: Sequence[str] = ()) -> str:
-    out = [f"# {c}" for c in comments]
+    out = [f"# {line}" for c in comments for line in c.split("\n")]
     out.append(f"{g.n} {g.k}")
     colors = g.edge_colors()
-    for v in range(1, g.n):
-        out.append(" ".join(map(str, colors[v * (v - 1) // 2 : v * (v + 1) // 2])))
+    names = {c: str(c) for c in set(colors)}  # only the colors present: k is unbounded
+    words = list(map(names.__getitem__, colors))
+    out += [" ".join(words[v * (v - 1) // 2 : v * (v + 1) // 2]) for v in range(1, g.n)]
     return "\n".join(out) + "\n"
 
 

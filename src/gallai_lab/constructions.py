@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .coloring import (
     MAX_VERTICES,
     ColoredCompleteGraph,
+    _substitute_store,
     complete_monochromatic,
     substitute,
 )
@@ -149,19 +150,17 @@ def random_gallai(n: int, k: int, seed: int) -> ColoredCompleteGraph:
         raise BadParameters(f"palette {k} must be at least 1")
     rng = random.Random(seed)
 
-    def gen(size: int) -> ColoredCompleteGraph:
+    def gen(size: int) -> list[int]:
         if size == 1:
-            return ColoredCompleteGraph(1, k, [])
+            return []
         t = rng.randint(2, min(4, size))
         cuts = sorted(rng.sample(range(1, size), t - 1))
         sizes = [b - a for a, b in zip([0] + cuts, cuts + [size])]
-        c1 = rng.randint(1, k)
-        c2 = rng.randint(1, k)
-        flat = [rng.choice((c1, c2)) for _ in range(t * (t - 1) // 2)]
-        base = ColoredCompleteGraph(t, k, flat)
-        return substitute(base, [gen(s) for s in sizes])
+        pair = (rng.randint(1, k), rng.randint(1, k))
+        flat = [rng.choice(pair) for _ in range(t * (t - 1) // 2)]
+        return _substitute_store(flat, sizes, [gen(s) for s in sizes])
 
-    return gen(n)
+    return ColoredCompleteGraph(n, k, gen(n))
 
 
 def ramsey_formula(m: int, n: int) -> int | None:

@@ -8,11 +8,12 @@ agreement between the two is meaningful.
 from __future__ import annotations
 
 import itertools
+import random
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from gallai_lab.coloring import BitGraph, ColoredCompleteGraph
+from gallai_lab.coloring import BitGraph, ColoredCompleteGraph, substitute
 
 
 # -- exact-length cycle existence (layered subset DP) ------------------------------
@@ -473,6 +474,30 @@ def random_min_degree_graph(rng, n: int) -> BitGraph:
 def random_coloring(rng, n: int, k: int) -> ColoredCompleteGraph:
     flat = [rng.randint(1, k) for _ in range(n * (n - 1) // 2)]
     return ColoredCompleteGraph(n, k, flat)
+
+
+def random_gallai_reference(n: int, k: int, seed: int) -> ColoredCompleteGraph:
+    """The seeded random Gallai generator built as one graph per level.
+
+    Same draws in the same order as ``constructions.random_gallai``, but each
+    level builds its base as a ``ColoredCompleteGraph`` and its result with
+    ``substitute``, so the flat-store generator must agree with it exactly.
+    """
+    rng = random.Random(seed)
+
+    def gen(size: int) -> ColoredCompleteGraph:
+        if size == 1:
+            return ColoredCompleteGraph(1, k, [])
+        t = rng.randint(2, min(4, size))
+        cuts = sorted(rng.sample(range(1, size), t - 1))
+        sizes = [b - a for a, b in zip([0] + cuts, cuts + [size])]
+        c1 = rng.randint(1, k)
+        c2 = rng.randint(1, k)
+        flat = [rng.choice((c1, c2)) for _ in range(t * (t - 1) // 2)]
+        base = ColoredCompleteGraph(t, k, flat)
+        return substitute(base, [gen(s) for s in sizes])
+
+    return gen(n)
 
 
 def random_hub_configuration(rng, k: int, m: int, max_hub: int = 6):

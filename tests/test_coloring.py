@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import timeit
 
 import pytest
 
@@ -135,6 +136,22 @@ def test_substitute_blows_up_base_edges():
         substitute(base, [big, big])
 
 
+def test_substitute_matches_a_per_pair_brute_force():
+    rng = random.Random(8)
+    for _ in range(200):
+        base = random_coloring(rng, rng.randint(1, 5), rng.randint(1, 4))
+        sizes = [rng.randint(1, 8) for _ in range(base.n)]
+        parts = [random_coloring(rng, s, rng.randint(1, 12)) for s in sizes]
+        g = substitute(base, parts)
+        owner = [(i, x) for i, p in enumerate(parts) for x in range(p.n)]
+        assert (g.n, g.k) == (len(owner), max([base.k] + [p.k for p in parts]))
+        for v in range(g.n):
+            for u in range(v):
+                (i, x), (j, y) = owner[u], owner[v]
+                want = parts[i].color_of(x, y) if i == j else base.color_of(i, j)
+                assert g.color_of(u, v) == want
+
+
 def test_substitute_then_induce_recovers_parts():
     rng = random.Random(3)
     base = random_coloring(rng, 3, 3)
@@ -168,6 +185,34 @@ def test_serialize_layout():
     g = ColoredCompleteGraph(4, 3, [1, 2, 3, 1, 1, 2])
     assert serialize(g) == "4 3\n1\n2 3\n1 1 2\n"
     assert serialize(g, ("note",)).startswith("# note\n4 3\n")
+
+
+def test_serialize_writes_each_comment_line_as_a_comment():
+    g = ColoredCompleteGraph(3, 2, [1, 2, 2])
+    text = serialize(g, ("a\nb", "", "c\n"))
+    assert text == "# a\n# b\n# \n# c\n# \n3 2\n1\n2 2\n"
+    assert parse(text) == g
+
+
+def test_serialize_two_digit_colors():
+    g = ColoredCompleteGraph(4, 12, [9, 10, 11, 12, 9, 10])
+    assert serialize(g) == "4 12\n9\n10 11\n12 9 10\n"
+    rng = random.Random(9)
+    for _ in range(10):
+        n = rng.randint(1, 20)
+        flat = [rng.randint(9, 12) for _ in range(n * (n - 1) // 2)]
+        h = ColoredCompleteGraph(n, rng.randint(12, 40), flat)
+        assert parse(serialize(h)) == h
+
+
+def test_serialize_names_only_the_colors_present():
+    # A table over the declared palette 1..k would take milliseconds here.
+    g = complete_monochromatic(3, 10**5, 1)
+    best = min(timeit.repeat(lambda: serialize(g), number=1, repeat=5))
+    assert best < 0.002
+    text = serialize(g)
+    assert text == "3 100000\n1\n1 1\n"
+    assert parse(text) == g
 
 
 def test_parse_accepts_comments_and_blank_lines():

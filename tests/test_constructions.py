@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gallai_lab.coloring import induced, parse, serialize, VertexSubset
+from gallai_lab.coloring import MAX_VERTICES, induced, parse, serialize, VertexSubset
 from gallai_lab.constructions import (
     ConstructionRecipe,
     build_extremal_odd,
@@ -19,7 +19,7 @@ from gallai_lab.constructions import (
 from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import BadParameters, SizeLimitExceeded
 
-from oracles import cycle_exists_dp, rainbow_triangles_bruteforce
+from oracles import cycle_exists_dp, rainbow_triangles_bruteforce, random_gallai_reference
 
 
 # -- doubled construction ------------------------------------------------------------
@@ -140,6 +140,13 @@ def test_random_gallai_is_rainbow_free_and_deterministic():
         assert g.n == n and g.k == k
         assert find_rainbow_triangle(g) is None
         assert random_gallai(n, k, seed) == g
+
+
+def test_random_gallai_matches_the_per_level_reference():
+    for n in range(1, MAX_VERTICES + 1):
+        for k in range(1, 6):
+            for seed in (0, n * 7919 + k, 2**32 - n):
+                assert random_gallai(n, k, seed) == random_gallai_reference(n, k, seed)
 
 
 def test_random_gallai_varies_with_seed():
