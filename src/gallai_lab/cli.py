@@ -42,9 +42,10 @@ def _emit_json(payload: dict, out: str | None) -> None:
     _emit(json.dumps(payload, indent=2) + "\n", out)
 
 
-def _parse_color_list(text: str, k: int) -> list[int]:
+def _parse_color_list(text: str, g: ColoredCompleteGraph) -> list[int]:
     if text == "all":
-        return list(range(1, k + 1))
+        return list(g.colors_used())  # an absent color has no cycle; k is unbounded
+    k = g.k
     try:
         chosen = sorted({int(p) for p in text.split(",") if p.strip()})
     except ValueError:
@@ -101,7 +102,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines.append("rainbow triangle: absent")
     if args.cycle is not None:
         hits = []
-        for c in _parse_color_list(args.colors, g.k):
+        for c in _parse_color_list(args.colors, g):
             w = detectors.find_mono_cycle(g, c, args.cycle)
             if w is not None:
                 hits.append(w)

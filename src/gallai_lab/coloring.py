@@ -165,8 +165,9 @@ class ColoredCompleteGraph:
         self.k = k
         self._colors = store
         # Derived per-color adjacency bitsets; the triangular tuple stays
-        # authoritative, these exist so detectors never rescan it.
-        masks = [[0] * n for _ in range(k + 1)]
+        # authoritative, these exist so detectors never rescan it.  Only the
+        # colors present get rows: the declared palette is unbounded.
+        masks = {c: [0] * n for c in set(store)}
         for v in range(1, n):
             bit_v = 1 << v
             for u, c in enumerate(store[v * (v - 1) // 2 : v * (v + 1) // 2]):
@@ -183,16 +184,18 @@ class ColoredCompleteGraph:
         return self._colors[pair_index(u, v)]
 
     def colors_used(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self._colors)))
+        return tuple(sorted(self._masks))
 
     def class_masks(self, color: int) -> list[int]:
         """Adjacency bitsets of one color class (a copy; rows are ints)."""
         if not 1 <= color <= self.k:
             raise ValueError(f"color {color} outside palette 1..{self.k}")
-        return list(self._masks[color])
+        rows = self._masks.get(color)
+        return list(rows) if rows else [0] * self.n
 
     def class_mask_row(self, color: int, v: int) -> int:
-        return self._masks[color][v]
+        rows = self._masks.get(color)
+        return rows[v] if rows else 0
 
     def color_class(self, color: int) -> BitGraph:
         """The simple graph formed by one color's edges."""

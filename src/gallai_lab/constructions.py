@@ -67,7 +67,7 @@ def check_recipe(g: ColoredCompleteGraph, recipe: ConstructionRecipe) -> list[st
                 problems.append(f"rainbow triangle {w.vertices}")
         elif prop["forbid"] == "mono_cycle":
             m = prop["length"]
-            colors = range(1, g.k + 1) if prop["colors"] == "all" else prop["colors"]
+            colors = g.colors_used() if prop["colors"] == "all" else prop["colors"]
             for c in colors:
                 w = find_mono_cycle(g, c, m)
                 if w is not None:

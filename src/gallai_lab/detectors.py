@@ -230,18 +230,18 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Witness | None:
     no rainbow triangle.
     """
     n = g.n
-    if g.k < 3 or n < 3:
-        return None
-    rows = [g.class_masks(d) for d in range(1, g.k + 1)]
     colors = g.edge_colors()
+    rows = {d: g.class_masks(d) for d in set(colors)}  # only the colors present: k is unbounded
+    if len(rows) < 3:
+        return None
     full = (1 << n) - 1
     above = [full ^ ((2 << v) - 1) for v in range(n)]
     for u in range(n - 2):
-        at_u = [(r, r[u]) for r in rows if r[u]]
+        at_u = [(r, r[u]) for r in rows.values() if r[u]]
         if len(at_u) < 2:
             continue
         for v in range(u + 1, n - 1):
-            rc = rows[colors[v * (v - 1) // 2 + u] - 1]
+            rc = rows[colors[v * (v - 1) // 2 + u]]
             shared = rc[u] | rc[v]
             for r, x in at_u:
                 shared |= x & r[v]

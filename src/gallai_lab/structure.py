@@ -3,14 +3,22 @@
 A coloring with no rainbow triangle always splits into at least two parts so
 that each pair of parts is joined monochromatically and at most two colors
 appear between parts.  ``gallai_partition`` finds such a split by trying each
-candidate between-color set, contracting the components everything else
-spans, and merging any two chunks joined in mixed colors; with
-``coarsest=True`` it then greedily merges parts while the split stays valid.
+candidate between-color set and contracting the components everything else
+spans; with ``coarsest=True`` it then greedily merges parts while the split
+stays valid.
+
+With no rainbow triangle, any two of those components are joined in one
+color of the set (``_candidate_blocks`` says why), so no two of them ever
+need merging and each candidate split is valid by construction.  The loop
+compares candidates by part count alone and stops at the first split into
+two parts, the fewest there can be.  Only the winner is assembled, and it is
+validated once, as a safety net.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 from .coloring import (
@@ -21,7 +29,6 @@ from .coloring import (
     induced,
     pair_index,
     relabel,
-    row_union,
     substitute,
 )
 from .detectors import (
@@ -101,6 +108,8 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
     for i, j, c in p.pair_colors:
         if not (0 <= i < j < len(p.parts)):
             return PartitionReport(False, f"pair ({i},{j}) is not a valid part pair")
+        if (i, j) in declared:
+            return PartitionReport(False, f"pair ({i},{j}) is declared twice", pair=(i, j))
         declared[(i, j)] = c
         if c not in p.between_colors:
             return PartitionReport(
@@ -132,7 +141,16 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
 def _candidate_blocks(
     g: ColoredCompleteGraph, cand: tuple[int, ...], used: Sequence[int]
 ) -> list[int] | None:
-    """Blocks for one between-color set ``cand`` out of ``used``, or None if they collapse."""
+    """Blocks for one between-color set ``cand`` out of ``used``, or None if they collapse.
+
+    The blocks are the components of the colors outside ``cand``, sorted by
+    least vertex.  With no rainbow triangle any two of them are joined in one
+    color of ``cand``.  A vertex w outside a block sees the two ends of an
+    outside-colored edge uv in it in one color, or uvw is rainbow; the block
+    is connected by such edges, so w sees all of it in one color.  Applied
+    from both sides, the color of an edge xy between two blocks depends on
+    neither x nor y, so the two blocks are joined in one color.
+    """
     n = g.n
     other = [0] * n
     for c in used:
@@ -147,36 +165,6 @@ def _candidate_blocks(
         comp = closure(other, left & -left, left)
         blocks.append(comp)
         left &= ~comp
-    # merge any two blocks joined in more than one candidate color
-    while len(blocks) > 1:
-        unions = {}
-        for c in cand:
-            rows = g.class_masks(c)
-            unions[c] = [row_union(rows, bm) for bm in blocks]
-        parent = list(range(len(blocks)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merged = False
-        for j in range(1, len(blocks)):
-            for i in range(j):
-                joined = [c for c in cand if unions[c][i] & blocks[j]]
-                if len(joined) >= 2:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-                        merged = True
-        if not merged:
-            break
-        grouped: dict[int, int] = {}
-        for i, bm in enumerate(blocks):
-            grouped.setdefault(find(i), 0)
-            grouped[find(i)] |= bm
-        blocks = sorted(grouped.values(), key=lambda m: (m & -m))
     if len(blocks) < 2:
         return None
     return blocks
@@ -195,12 +183,11 @@ def _block_pair_color(colors: Sequence[int], bi: int, bj: int) -> int:
 def _greedy_merge(colors: Sequence[int], blocks: list[int]) -> list[int]:
     """Merge block pairs while the split stays valid (never below 2 parts).
 
-    Blocks stay sorted by least vertex.  A pair merges only when every other
-    block sees both in one color, so the merged block keeps the first one's
-    place and its row of the pair-color table, and the second one's row and
-    column are dropped.
+    Blocks come sorted by least vertex and stay so.  A pair merges only when
+    every other block sees both in one color, so the merged block keeps the
+    first one's place and its row of the pair-color table, and the second
+    one's row and column are dropped.
     """
-    blocks = sorted(blocks, key=lambda m: (m & -m))
     t = len(blocks)
     pc = [[0] * t for _ in range(t)]
     for j in range(1, t):
@@ -208,14 +195,8 @@ def _greedy_merge(colors: Sequence[int], blocks: list[int]) -> list[int]:
             pc[i][j] = pc[j][i] = _block_pair_color(colors, blocks[i], blocks[j])
     while len(blocks) > 2:
         t = len(blocks)
-        pick = None
-        for i in range(t - 1):
-            for j in range(i + 1, t):
-                if all(pc[i][z] == pc[j][z] for z in range(t) if z != i and z != j):
-                    pick = (i, j)
-                    break
-            if pick:
-                break
+        pick = next(((i, j) for i, j in combinations(range(t), 2)
+                     if all(pc[i][z] == pc[j][z] for z in range(t) if z != i and z != j)), None)
         if pick is None:
             break
         i, j = pick
@@ -226,32 +207,25 @@ def _greedy_merge(colors: Sequence[int], blocks: list[int]) -> list[int]:
     return blocks
 
 
-def _assemble(
-    g: ColoredCompleteGraph, colors: Sequence[int], blocks: list[int]
-) -> GallaiPartition | None:
+def _assemble(g: ColoredCompleteGraph, colors: Sequence[int], blocks: list[int]) -> GallaiPartition:
     ordered = sorted(blocks, key=lambda m: (-m.bit_count(), (m & -m)))
+    pair_colors = [
+        (i, j, _block_pair_color(colors, ordered[i], ordered[j]))
+        for j in range(1, len(ordered))
+        for i in range(j)
+    ]
+    used = sorted({c for _, _, c in pair_colors})
     parts = tuple(VertexSubset(g.n, m) for m in ordered)
-    t = len(parts)
-    pair_colors = []
-    used = set()
-    for j in range(1, t):
-        for i in range(j):
-            c = _block_pair_color(colors, parts[i].mask, parts[j].mask)
-            pair_colors.append((i, j, c))
-            used.add(c)
-    if len(used) > 2:
-        return None
-    p = GallaiPartition(g.n, parts, tuple(sorted(used)), tuple(pair_colors))
-    return p if validate_partition(g, p).ok else None
+    return GallaiPartition(g.n, parts, tuple(used), tuple(pair_colors))
 
 
 def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiPartition:
     """A valid partition of a rainbow-triangle-free coloring.
 
-    Tries every candidate between-color set (singletons first, then pairs,
-    ascending) and keeps the valid result with the fewest parts.  With
-    ``coarsest=True`` no further pair of returned parts can be merged without
-    breaking validity.
+    Tries the candidate between-color sets (singletons first, then pairs,
+    ascending) and keeps the split with the fewest parts, the first on ties;
+    a split into two parts ends the search.  With ``coarsest=True`` no
+    further pair of returned parts can be merged without breaking validity.
     """
     if g.n < 2:
         raise ValueError(f"partition needs at least 2 vertices, got {g.n}")
@@ -259,23 +233,25 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     if rw is not None:
         raise NotGallai(rw)
     colors = g.edge_colors()
-    used = sorted(g.colors_used())
-    candidates: list[tuple[int, ...]] = [(c,) for c in used]
-    candidates += [(a, b) for i, a in enumerate(used) for b in used[i + 1 :]]
-    best: GallaiPartition | None = None
+    used = g.colors_used()
+    candidates = [(c,) for c in used] + list(combinations(used, 2))
+    best: list[int] | None = None
     for cand in candidates:
         blocks = _candidate_blocks(g, cand, used)
         if blocks is None:
             continue
         if coarsest:
             blocks = _greedy_merge(colors, blocks)
-        part = _assemble(g, colors, blocks)
-        if part is None:
-            continue
-        if best is None or len(part.parts) < len(best.parts):
-            best = part
+        if best is None or len(blocks) < len(best):
+            best = blocks
+            if len(best) == 2:
+                break
     assert best is not None, "rainbow-triangle-free colorings always admit a partition"
-    return best
+    p = _assemble(g, colors, best)
+    rep = validate_partition(g, p)
+    if not rep.ok:
+        raise InvalidPartition(rep)
+    return p
 
 
 # -- derived views --------------------------------------------------------------
@@ -287,12 +263,8 @@ def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ReducedGraph:
     if not rep.ok:
         raise InvalidPartition(rep)
     t = len(p.parts)
-    if t == 1:
-        return ReducedGraph(ColoredCompleteGraph(1, g.k, []), p)
-    flat = []
-    for j in range(1, t):
-        for i in range(j):
-            flat.append(p.pair_color(i, j))
+    declared = {(i, j): c for i, j, c in p.pair_colors}
+    flat = [declared[i, j] for j in range(1, t) for i in range(j)]
     return ReducedGraph(ColoredCompleteGraph(t, g.k, flat), p)
 
 

@@ -447,6 +447,93 @@ def is_group_min_image(colors: list[list[int]], ell: int, blocks: Sequence[Seque
     )
 
 
+# -- Gallai partitions by definition ---------------------------------------------------
+
+
+def _merge_blocks(blocks: list[list[int]], seen: list[list[set]], i: int, j: int) -> None:
+    """Merge block j into block i (i < j); ``seen[a][b]`` holds the colors between a and b."""
+    blocks[i] = sorted(blocks[i] + blocks.pop(j))
+    for z in range(len(seen)):
+        seen[i][z] = seen[z][i] = seen[i][z] | seen[j][z]
+    del seen[j]
+    for row in seen:
+        del row[j]
+
+
+def gallai_partition_reference(g: ColoredCompleteGraph, coarsest: bool = False):
+    """``gallai_partition`` read off its definition, with vertex lists and color sets.
+
+    Every candidate between-color set in the package's order (singletons,
+    then pairs, ascending); blocks are the components of the other colors,
+    and two blocks whose edges carry two or more colors merge until none do.
+    With ``coarsest`` the first pair of blocks (by least vertex) that every
+    other block sees in one color merges, until none or two blocks are left.
+    Each candidate is then assembled and checked by hand; the fewest parts
+    win, the first candidate on ties.
+    """
+    from gallai_lab.coloring import VertexSubset
+    from gallai_lab.structure import GallaiPartition
+
+    n = g.n
+    col = [[0] * n for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        col[u][v] = col[v][u] = g.color_of(u, v)
+    used = sorted({col[u][v] for u, v in itertools.combinations(range(n), 2)})
+    best = None
+    for cand in [(c,) for c in used] + list(itertools.combinations(used, 2)):
+        blocks: list[list[int]] = []
+        for s in range(n):
+            if any(s in b for b in blocks):
+                continue
+            comp, stack = {s}, [s]
+            while stack:
+                x = stack.pop()
+                for y in range(n):
+                    if y not in comp and y != x and col[x][y] not in cand:
+                        comp.add(y)
+                        stack.append(y)
+            blocks.append(sorted(comp))
+        seen = [[{col[a][b] for a in x for b in y} for y in blocks] for x in blocks]
+        while True:
+            t = len(blocks)
+            pair = next(((i, j) for j in range(t) for i in range(j) if len(seen[i][j]) >= 2), None)
+            if pair is None:
+                break
+            _merge_blocks(blocks, seen, *pair)
+        while coarsest and len(blocks) > 2:
+            t = len(blocks)
+            pair = next(
+                (
+                    (i, j)
+                    for i in range(t)
+                    for j in range(i + 1, t)
+                    if all(len(seen[i][z] | seen[j][z]) == 1 for z in range(t) if z not in (i, j))
+                ),
+                None,
+            )
+            if pair is None:
+                break
+            _merge_blocks(blocks, seen, *pair)
+        t = len(blocks)
+        if t < 2:
+            continue
+        order = sorted(blocks, key=lambda b: (-len(b), b[0]))
+        pair_colors = []
+        for j in range(1, t):
+            for i in range(j):
+                between = {col[u][v] for u in order[i] for v in order[j]}
+                if len(between) != 1:
+                    break
+                pair_colors.append((i, j, between.pop()))
+        between_colors = sorted({c for _, _, c in pair_colors})
+        if len(pair_colors) != t * (t - 1) // 2 or len(between_colors) > 2:
+            continue
+        if best is None or t < len(best.parts):
+            parts = tuple(VertexSubset.of(n, b) for b in order)
+            best = GallaiPartition(n, parts, tuple(between_colors), tuple(pair_colors))
+    return best
+
+
 # -- randomized inputs ---------------------------------------------------------------
 
 

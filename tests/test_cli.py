@@ -98,6 +98,15 @@ def test_check_default_output_is_text(tmp_path, capsys):
     assert "C_4 in color 2:" in out
 
 
+def test_check_all_colors_reads_the_colors_present(tmp_path, capsys):
+    # A declared palette of a million colors: only color 1 is present.
+    f = tmp_path / "g.txt"
+    f.write_text("3 1000000\n1\n1 1\n")
+    code, out = run(capsys, "check", str(f), "--rainbow", "--cycle", "3")
+    assert code == 1
+    assert out == "rainbow triangle: absent\nC_3 in color 1: 0 1 2\n"
+
+
 def test_check_color_subset(tmp_path, capsys):
     f = tmp_path / "g.txt"
     run(capsys, "gen", "extremal-odd", "--ell", "2", "--k", "2", "-o", str(f))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import timeit
+import tracemalloc
 
 import pytest
 
@@ -213,6 +214,22 @@ def test_serialize_names_only_the_colors_present():
     text = serialize(g)
     assert text == "3 100000\n1\n1 1\n"
     assert parse(text) == g
+
+
+def test_mask_table_holds_only_the_colors_present():
+    tracemalloc.start()
+    try:
+        g = complete_monochromatic(3, 10**6, 1)
+        assert parse(serialize(g)) == g
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert g.class_masks(1) == [0b110, 0b101, 0b011]
+    assert g.class_masks(10**6) == [0, 0, 0]
+    assert g.class_mask_row(2, 1) == 0
+    with pytest.raises(ValueError):
+        g.class_masks(10**6 + 1)
 
 
 def test_parse_accepts_comments_and_blank_lines():

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
+import gallai_lab.structure as structure
 from gallai_lab.coloring import (
     ColoredCompleteGraph,
     VertexSubset,
+    bits,
     complete_monochromatic,
     induced,
     relabel,
@@ -19,6 +22,7 @@ from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import HypothesisViolated, InvalidPartition, NotGallai
 from gallai_lab.structure import (
     GallaiPartition,
+    _candidate_blocks,
     between_parts_cycle,
     gallai_partition,
     reconstruct,
@@ -27,7 +31,12 @@ from gallai_lab.structure import (
     validate_partition,
 )
 
-from oracles import random_coloring, random_hub_configuration, set_partitions
+from oracles import (
+    gallai_partition_reference,
+    random_coloring,
+    random_hub_configuration,
+    set_partitions,
+)
 
 
 def _parts_of(p: GallaiPartition) -> list[tuple[int, ...]]:
@@ -93,7 +102,74 @@ def test_validate_partition_rejects_three_between_colors():
     assert not validate_partition(g, p).ok
 
 
+def test_validate_partition_rejects_a_pair_declared_twice():
+    g = substitute(ColoredCompleteGraph(2, 2, [2]), [complete_monochromatic(2, 2, 1)] * 2)
+    twice = GallaiPartition(
+        n=4,
+        parts=(VertexSubset.of(4, [0, 1]), VertexSubset.of(4, [2, 3])),
+        between_colors=(1, 2),
+        pair_colors=((0, 1, 1), (0, 1, 2)),
+    )
+    rep = validate_partition(g, twice)
+    assert not rep.ok and rep.pair == (0, 1)
+    with pytest.raises(InvalidPartition):
+        reconstruct(g, twice)
+
+
 # -- gallai_partition on structured inputs ------------------------------------------
+
+
+def _substitutions(rng, count: int):
+    """Random Gallai parts blown into monochromatic bases and P4 two-color bases."""
+    for i in range(count):
+        k = rng.randint(2, 5)
+        a, b = rng.sample(range(1, k + 1), 2)
+        if i % 2:
+            base = ColoredCompleteGraph(4, k, [a, b, a, b, b, a])  # path 0-1-2-3 in color a
+        else:
+            t = rng.randint(2, 5)
+            base = ColoredCompleteGraph(t, k, [a] * (t * (t - 1) // 2))
+        sizes = [rng.randint(1, 10) for _ in range(base.n)]
+        yield substitute(base, [random_gallai(s, k, rng.randrange(10**6)) for s in sizes])
+
+
+def test_partition_matches_the_definitional_reference():
+    rng = random.Random(19)
+    hosts = [random_gallai(rng.randint(2, 40), rng.randint(1, 6), rng.randrange(10**6))
+             for _ in range(300)]
+    hosts += _substitutions(rng, 100)
+    for g in hosts:
+        for coarsest in (False, True):
+            assert gallai_partition(g, coarsest) == gallai_partition_reference(g, coarsest)
+
+
+def test_candidate_blocks_are_pairwise_joined_in_one_color():
+    # Why gallai_partition never merges blocks: with no rainbow triangle, the
+    # components of the colors outside a candidate set meet in one color.
+    rng = random.Random(22)
+    for _ in range(100):
+        g = random_gallai(rng.randint(2, 30), rng.randint(2, 6), rng.randrange(10**6))
+        used = g.colors_used()
+        for cand in [(c,) for c in used] + list(itertools.combinations(used, 2)):
+            for a, b in itertools.combinations(_candidate_blocks(g, cand, used) or [], 2):
+                between = {g.color_of(u, v) for u in bits(a) for v in bits(b)}
+                assert len(between) == 1 and between <= set(cand)
+    # A rainbow triangle breaks it: block {0, 1} (color 3) meets {2} in colors 1 and 2.
+    g = ColoredCompleteGraph(3, 3, [3, 1, 2])
+    assert _candidate_blocks(g, (1, 2), (1, 2, 3)) == [0b011, 0b100]
+
+
+def test_partition_validates_once_per_call(monkeypatch):
+    calls = []
+    validate = structure.validate_partition
+    monkeypatch.setattr(structure, "validate_partition",
+                        lambda g, p: calls.append(p) or validate(g, p))
+    rng = random.Random(20)
+    for g in _substitutions(rng, 10):
+        for coarsest in (False, True):
+            calls.clear()
+            p = gallai_partition(g, coarsest)
+            assert calls == [p]
 
 
 def test_partition_of_a_substitution_recovers_blocks():
@@ -231,6 +307,15 @@ def test_reduced_graph_inherits_between_colors():
         for j in range(red.graph.n):
             for i in range(j):
                 assert red.graph.color_of(i, j) == p.pair_color(i, j)
+
+
+def test_reduced_graph_of_64_singleton_parts_is_the_host():
+    rng = random.Random(21)
+    g = ColoredCompleteGraph(64, 2, [rng.randint(1, 2) for _ in range(64 * 63 // 2)])
+    p = gallai_partition(g)
+    assert len(p.parts) == 64
+    assert reduced_graph(g, p).graph == g
+    assert reconstruct(g, p) == g
 
 
 def test_reduced_graph_rejects_foreign_partition():
