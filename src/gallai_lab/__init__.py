@@ -67,7 +67,6 @@ from .search import (
 from .structure import (
     GallaiPartition,
     PartitionReport,
-    ReducedGraph,
     between_parts_cycle,
     gallai_partition,
     reconstruct,

@@ -20,7 +20,7 @@ from .coloring import (
     complete_monochromatic,
     substitute,
 )
-from .detectors import find_mono_cycle, find_rainbow_triangle
+from .detectors import RAINBOW_TRIANGLE, forbidden_structures
 from .errors import BadParameters, SizeLimitExceeded
 
 
@@ -60,20 +60,19 @@ def check_recipe(g: ColoredCompleteGraph, recipe: ConstructionRecipe) -> list[st
     problems = []
     if g.n != recipe.expected_order:
         problems.append(f"order {g.n} != expected {recipe.expected_order}")
+    rainbow, cycles = False, []
     for prop in recipe.expected_properties:
         if prop["forbid"] == "rainbow_triangle":
-            w = find_rainbow_triangle(g)
-            if w is not None:
-                problems.append(f"rainbow triangle {w.vertices}")
+            rainbow = True
         elif prop["forbid"] == "mono_cycle":
-            m = prop["length"]
-            colors = g.colors_used() if prop["colors"] == "all" else prop["colors"]
-            for c in colors:
-                w = find_mono_cycle(g, c, m)
-                if w is not None:
-                    problems.append(f"monochromatic C_{m} in color {c}: {w.vertices}")
+            cycles.append((prop["length"], None if prop["colors"] == "all" else prop["colors"]))
         else:
             problems.append(f"unknown property {prop!r}")
+    for w in forbidden_structures(g, rainbow, cycles):
+        if w.kind == RAINBOW_TRIANGLE:
+            problems.append(f"rainbow triangle {w.vertices}")
+        else:
+            problems.append(f"monochromatic C_{len(w.vertices)} in color {w.color}: {w.vertices}")
     return problems
 
 

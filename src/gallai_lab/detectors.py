@@ -13,6 +13,10 @@ runs from a vertex to a target set and stops on the lexicographically first
 one, so in ``_first_path``, on which ``find_mono_cycle`` and
 ``find_mono_path`` are built, one walk decides and returns the path.  Every
 table counts its walk on a ``_StepMeter``, which only the search caps.
+
+``check``, ``check_recipe`` and the certificate checks share one sweep,
+``forbidden_structures``: it validates a whole claim before it scans, and it
+scans only the colors present, so its cost does not grow with the palette.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .coloring import BitGraph, ColoredCompleteGraph, bits, closure, row_union
 from .errors import DegreePreconditionFailed, DiracPreconditionFailed
@@ -273,6 +277,36 @@ def find_mono_cycle(g: ColoredCompleteGraph, color: int, m: int) -> Witness | No
         if found is not None:
             return Witness(MONO_CYCLE, canonical_cycle(found), color)
     return None
+
+
+def forbidden_structures(
+    g: ColoredCompleteGraph, rainbow: bool, cycles: Sequence[tuple[int, Sequence[int] | None]]
+) -> Iterator[Witness]:
+    """Every forbidden structure of a claim in g, as witnesses.
+
+    The claim forbids rainbow triangles when ``rainbow`` is set, and each
+    rule (m, colors) in ``cycles`` a monochromatic C_m in the listed colors,
+    or in every color when ``colors`` is None.  Every order and listed color
+    is checked before the scan, so a bad claim raises ValueError whatever g
+    holds.  The rainbow triangle comes first, then rule by rule the first C_m
+    of each color present (an absent one holds no cycle): ascending for all
+    colors, in the given order for a list.
+    """
+    for m, colors in cycles:
+        for c in colors or ():
+            _check_color(g, c)
+        if m < 3:
+            raise ValueError(f"cycle order {m} must be at least 3")
+    if rainbow:
+        w = find_rainbow_triangle(g)
+        if w is not None:
+            yield w
+    present = g.colors_used()
+    for m, colors in cycles:
+        for c in present if colors is None else [c for c in colors if c in present]:
+            w = find_mono_cycle(g, c, m)
+            if w is not None:
+                yield w
 
 
 def _exact_path(masks: Sequence[int], n: int, p: int, color: int | None) -> Witness | None:

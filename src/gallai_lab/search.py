@@ -65,8 +65,7 @@ from .detectors import (
     _OutOfSteps,
     _PathEnds,
     _StepMeter,
-    find_mono_cycle,
-    find_rainbow_triangle,
+    forbidden_structures,
 )
 from .errors import BadParameters, OverLimit
 
@@ -656,8 +655,8 @@ def reports_equivalent(a: SearchReport, b: SearchReport) -> bool:
 _FAMILY_PARAMS = {"Ramsey": {"m": 3, "n": 3}, "GallaiRamsey": {"m": 3, "k": 1}}
 
 
-def _family_problem(family: str, params: dict) -> tuple[int, tuple[int, ...], bool]:
-    """A report family's palette, forbidden cycle order per color, and rainbow rule."""
+def _family_problem(family: str, params: dict) -> tuple[int, tuple, bool]:
+    """A report family's palette, cycle rules (see ``forbidden_structures``), rainbow rule."""
     if family not in _FAMILY_PARAMS:
         raise BadParameters(f"unknown family {family!r}")
     for key, least in _FAMILY_PARAMS[family].items():
@@ -666,22 +665,9 @@ def _family_problem(family: str, params: dict) -> tuple[int, tuple[int, ...], bo
             raise BadParameters(
                 f"{family} params need an integer {key!r} of at least {least}, not {v!r}")
     if family == "Ramsey":
-        return 2, (params["m"], params["n"]), False
+        return 2, ((params["m"], (1,)), (params["n"], (2,))), False
     k = params["k"]
-    return k, (params["m"],) * k, k >= 3
-
-
-def _violation(g: ColoredCompleteGraph, forbidden: Sequence[int], rainbow: bool) -> Witness | None:
-    """The first forbidden structure in g: a rainbow triangle, then a cycle color by color."""
-    if rainbow:
-        w = find_rainbow_triangle(g)
-        if w is not None:
-            return w
-    for c in range(1, g.k + 1):
-        w = find_mono_cycle(g, c, forbidden[c - 1])
-        if w is not None:
-            return w
-    return None
+    return k, ((params["m"], None),), k >= 3
 
 
 def _run_threshold(
@@ -700,10 +686,12 @@ def _run_threshold(
     MAX_VERTICES.  An exact value is checked against the closed form
     ``formula`` (None where none is known).
     """
-    k, forbidden, rainbow = _family_problem(family, params)
+    k, cycles, rainbow = _family_problem(family, params)
+    forbidden = tuple(
+        next(m for m, cs in cycles if cs is None or c in cs) for c in range(1, k + 1))
     witness, start = construction, 1
     if construction is not None:
-        w = _violation(construction, forbidden, rainbow)
+        w = next(forbidden_structures(construction, rainbow, cycles), None)
         if w is not None:
             raise AssertionError(f"the {construction.n}-vertex construction contains a {w.kind}")
         start = construction.n + 1
@@ -778,7 +766,7 @@ def verify_certificate(report: SearchReport) -> CertificateCheck:
     search and only the claims a witness can certify are recomputed.
     """
     try:
-        k, forbidden, rainbow = _family_problem(report.family, report.params)
+        k, cycles, rainbow = _family_problem(report.family, report.params)
     except BadParameters as exc:
         return CertificateCheck(False, str(exc))
     if report.value is not None:
@@ -796,11 +784,11 @@ def verify_certificate(report: SearchReport) -> CertificateCheck:
         return CertificateCheck(False, f"witness order {g.n}, expected {expected}")
     if g.k != k:
         return CertificateCheck(False, f"witness palette {g.k}, expected {k}")
-    w = _violation(g, forbidden, rainbow)
+    w = next(forbidden_structures(g, rainbow, cycles), None)
     if w is None:
         return CertificateCheck(True)
     if w.kind == RAINBOW_TRIANGLE:
         return CertificateCheck(False, "witness contains a rainbow triangle", w)
     return CertificateCheck(
-        False, f"witness contains a monochromatic C_{forbidden[w.color - 1]} in color {w.color}", w
+        False, f"witness contains a monochromatic C_{len(w.vertices)} in color {w.color}", w
     )

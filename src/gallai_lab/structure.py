@@ -73,14 +73,6 @@ class PartitionReport:
     edge: tuple[int, int] | None = None
 
 
-@dataclass(frozen=True)
-class ReducedGraph:
-    """One vertex per part, colored by the between-part colors."""
-
-    graph: ColoredCompleteGraph
-    partition: GallaiPartition
-
-
 def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> PartitionReport:
     """Check a partition claim against the host; reports the first violation."""
     if p.n != g.n:
@@ -257,7 +249,7 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
 # -- derived views --------------------------------------------------------------
 
 
-def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ReducedGraph:
+def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredCompleteGraph:
     """One vertex per part, pair colors from the partition (validated first)."""
     rep = validate_partition(g, p)
     if not rep.ok:
@@ -265,7 +257,7 @@ def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ReducedGraph:
     t = len(p.parts)
     declared = {(i, j): c for i, j, c in p.pair_colors}
     flat = [declared[i, j] for j in range(1, t) for i in range(j)]
-    return ReducedGraph(ColoredCompleteGraph(t, g.k, flat), p)
+    return ColoredCompleteGraph(t, g.k, flat)
 
 
 def reconstruct(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredCompleteGraph:
@@ -274,8 +266,7 @@ def reconstruct(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredCompleteG
     Substitution concatenates parts in order, so the result is relabeled back
     through the concatenation order before returning.
     """
-    rg = reduced_graph(g, p)
-    blown = substitute(rg.graph, [induced(g, part) for part in p.parts])
+    blown = substitute(reduced_graph(g, p), [induced(g, part) for part in p.parts])
     order = [v for part in p.parts for v in part.vertices()]
     return relabel(blown, order)
 

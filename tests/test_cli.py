@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import time
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,17 @@ def test_check_parse_error_exits_2(tmp_path, capsys):
     assert code == 2
     code, _ = run(capsys, "check", str(tmp_path / "absent.txt"), "--rainbow")
     assert code == 2
+
+
+def test_check_bad_cycle_order_exits_2_whatever_the_file_holds(tmp_path, capsys):
+    # the one-vertex file holds no color at all; the order is still checked
+    for name, text in (("one.txt", "1 1\n"), ("two.txt", "2 3\n2\n")):
+        f = tmp_path / name
+        f.write_text(text)
+        code = main(["check", str(f), "--cycle", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "gallai-lab: cycle order 2 must be at least 3\n"
 
 
 # -- partition ----------------------------------------------------------------------
@@ -283,6 +295,20 @@ def test_verify_params_missing_a_family_key_fail_the_certificate(tmp_path, capsy
     assert code == 1
     payload = json.loads(out)
     assert payload["valid"] is False and "'n'" in payload["reason"]
+
+
+def test_verify_a_billion_color_palette_is_quick(tmp_path, capsys):
+    # the cost follows the witness, not the palette the report declares
+    (tmp_path / "w.txt").write_text("3 1000000000\n1\n2 2\n")
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps({
+        "family": "GallaiRamsey", "params": {"m": 5, "k": 10**9}, "value": None,
+        "lower": 4, "upper": None, "witness_file": "w.txt", "stats": {},
+    }))
+    start = time.perf_counter()
+    code, out = run(capsys, "verify", str(report))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and json.loads(out) == {"valid": True}
 
 
 def test_search_gallai_partial_via_cli(tmp_path, capsys):

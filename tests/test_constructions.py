@@ -6,7 +6,14 @@ import random
 
 import pytest
 
-from gallai_lab.coloring import MAX_VERTICES, induced, parse, serialize, VertexSubset
+from gallai_lab.coloring import (
+    MAX_VERTICES,
+    VertexSubset,
+    complete_monochromatic,
+    induced,
+    parse,
+    serialize,
+)
 from gallai_lab.constructions import (
     ConstructionRecipe,
     build_extremal_odd,
@@ -125,6 +132,19 @@ def test_check_recipe_reports_violations():
         expected_properties=({"forbid": "mono_cycle", "length": 4, "colors": [1]},),
     )
     assert check_recipe(g, impossible)  # C_4 in color 1 does exist
+
+
+def test_check_recipe_rejects_a_bad_cycle_order_on_any_host():
+    # one vertex holds no color at all; the order is still checked
+    for n in (1, 2):
+        recipe = ConstructionRecipe(
+            kind="Tampered",
+            parameters=(),
+            expected_order=n,
+            expected_properties=({"forbid": "mono_cycle", "length": 2, "colors": "all"},),
+        )
+        with pytest.raises(ValueError, match="cycle order 2 must be at least 3"):
+            check_recipe(complete_monochromatic(n, 1, 1), recipe)
 
 
 # -- random generator --------------------------------------------------------------------

@@ -32,6 +32,7 @@ from gallai_lab.detectors import (
     find_mono_cycle,
     find_mono_path,
     find_rainbow_triangle,
+    forbidden_structures,
     validate_witness,
 )
 from gallai_lab.errors import DegreePreconditionFailed, DiracPreconditionFailed
@@ -263,6 +264,55 @@ def test_mono_cycle_edge_cases():
     for color, m in ((3, 3), (7, 3), (7, 7), (0, 5)):
         with pytest.raises(ValueError):
             find_mono_cycle(g, color, m)
+
+
+# -- the claim sweep -----------------------------------------------------------
+
+
+def _sweep_by_oracles(g, rainbow, cycles):
+    """(kind, color, order) of every structure the claim forbids, by brute force, in sweep order."""
+    out = []
+    if rainbow and rainbow_triangles_bruteforce(g):
+        out.append((RAINBOW_TRIANGLE, None, 3))
+    for m, colors in cycles:
+        for c in range(1, g.k + 1) if colors is None else colors:
+            if cycle_exists_dp(g.class_masks(c), g.n, m):
+                out.append((MONO_CYCLE, c, m))
+    return out
+
+
+def test_sweep_matches_the_oracles_in_order():
+    rng = random.Random(41)
+    hosts = [random_coloring(rng, rng.randint(1, 12), rng.randint(1, 5)) for _ in range(200)]
+    hosts += [random_gallai(rng.randint(1, 12), rng.randint(1, 5), rng.randrange(10**6))
+              for _ in range(100)]
+    seen = set()
+    for g in hosts:
+        rainbow = rng.random() < 0.75
+        cycles = [(rng.randint(3, max(3, g.n)), None)]
+        if rng.random() < 0.5:
+            listed = rng.sample(range(1, g.k + 1), rng.randint(1, g.k))
+            cycles.append((rng.randint(3, max(3, g.n)), listed))
+        found = list(forbidden_structures(g, rainbow, cycles))
+        expect = _sweep_by_oracles(g, rainbow, cycles)
+        got = [(w.kind, w.color, len(w.vertices)) for w in found]
+        assert got == expect, (g.edge_colors(), cycles)
+        assert all(validate_witness(g, w) for w in found)
+        if found and found[0].kind == RAINBOW_TRIANGLE:
+            assert found[0].vertices == rainbow_triangles_bruteforce(g)[0]
+        seen.add(found[0].kind if found else None)
+    assert seen == {RAINBOW_TRIANGLE, MONO_CYCLE, None}
+
+
+def test_sweep_checks_the_whole_claim_before_it_scans():
+    # a bad order or listed color fails whatever colors the host holds
+    hosts = (complete_monochromatic(1, 1, 1), complete_monochromatic(2, 1, 1),
+             complete_monochromatic(5, 3, 2))
+    claims = ([(2, None)], [(5, None), (2, [])], [(5, [4])], [(5, [0])], [(5, None), (5, [1, 9])])
+    for g in hosts:
+        for cycles in claims:
+            with pytest.raises(ValueError):
+                next(forbidden_structures(g, True, cycles), None)
 
 
 def test_mono_cycle_odd_length_in_bipartite_class_is_fast_no():

@@ -8,10 +8,11 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 
 import pytest
 
-from gallai_lab import search
+from gallai_lab import detectors, search
 from gallai_lab.coloring import (
     ColoredCompleteGraph,
     bits,
@@ -1121,3 +1122,22 @@ def test_verify_certificate_checks_partial_shape():
     bent = SearchReport.from_json_dict(rep.to_json_dict(), witness=rep.witness)
     bent.upper = 99
     assert not verify_certificate(bent).valid
+
+
+def test_verify_cost_does_not_grow_with_the_declared_palette(monkeypatch):
+    # a 3-vertex witness on two colors of a declared palette of 100,000
+    k = 10**5
+    g = ColoredCompleteGraph(3, k, [1, 2, 2])
+    rep = SearchReport("GallaiRamsey", {"m": 5, "k": k}, None, 4, None, g, SearchStats())
+    calls = []
+    real = detectors.find_mono_cycle
+    monkeypatch.setattr(detectors, "find_mono_cycle", lambda *a: calls.append(a) or real(*a))
+    tracemalloc.start()
+    try:
+        check = verify_certificate(rep)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check.valid
+    assert len(calls) <= len(g.colors_used())
+    assert peak < 200_000

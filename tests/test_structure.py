@@ -302,11 +302,11 @@ def test_reduced_graph_inherits_between_colors():
         g = random_gallai(rng.randint(2, 20), rng.randint(1, 4), rng.randrange(999))
         p = gallai_partition(g)
         red = reduced_graph(g, p)
-        assert red.graph.n == len(p.parts)
-        assert len(red.graph.colors_used()) <= 2
-        for j in range(red.graph.n):
+        assert red.n == len(p.parts)
+        assert len(red.colors_used()) <= 2
+        for j in range(red.n):
             for i in range(j):
-                assert red.graph.color_of(i, j) == p.pair_color(i, j)
+                assert red.color_of(i, j) == p.pair_color(i, j)
 
 
 def test_reduced_graph_of_64_singleton_parts_is_the_host():
@@ -314,7 +314,7 @@ def test_reduced_graph_of_64_singleton_parts_is_the_host():
     g = ColoredCompleteGraph(64, 2, [rng.randint(1, 2) for _ in range(64 * 63 // 2)])
     p = gallai_partition(g)
     assert len(p.parts) == 64
-    assert reduced_graph(g, p).graph == g
+    assert reduced_graph(g, p) == g
     assert reconstruct(g, p) == g
 
 
