@@ -43,13 +43,19 @@ def _emit_json(payload: dict, out: str | None) -> None:
 
 
 def _parse_color_list(text: str) -> list[int] | None:
-    """The colors of ``--colors``, ascending, or None for all of them."""
+    """The colors of ``--colors``, ascending, or None for all of them.
+
+    A list with no entries is a usage error: it would scan no color.
+    """
     if text == "all":
         return None
     try:
-        return sorted({int(p) for p in text.split(",") if p.strip()})
+        colors = sorted({int(p) for p in text.split(",") if p.strip()})
     except ValueError:
         raise ValueError(f"bad color list {text!r}") from None
+    if not colors:
+        raise ValueError(f"color list {text!r} names no color")
+    return colors
 
 
 # -- gen -------------------------------------------------------------------------

@@ -14,6 +14,14 @@ one, so in ``_first_path``, on which ``find_mono_cycle`` and
 ``find_mono_path`` are built, one walk decides and returns the path.  Every
 table counts its walk on a ``_StepMeter``, which only the search caps.
 
+The rainbow-triangle scan recurses into Gallai splits.  If the colors
+outside a set of one or two colors break a vertex set into blocks joined
+pairwise in one color, every rainbow triangle in it lies inside one block
+(Gallai 1967; Gyarfas & Simonyi 2004).  The split helper,
+``_gallai_blocks``, is the one that ``structure.gallai_partition`` uses too.
+A vertex set that no such set splits holds a rainbow triangle, and only
+there does the scan fall back to a bitset test per vertex pair.
+
 ``check``, ``check_recipe`` and the certificate checks share one sweep,
 ``forbidden_structures``: it validates a whole claim before it scans, and it
 scans only the colors present, so its cost does not grow with the palette.
@@ -21,10 +29,12 @@ scans only the colors present, so its cost does not grow with the palette.
 
 from __future__ import annotations
 
+import itertools
 import json
+import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .coloring import BitGraph, ColoredCompleteGraph, bits, closure, row_union
 from .errors import DegreePreconditionFailed, DiracPreconditionFailed
@@ -222,37 +232,197 @@ def _first_path(
 # -- detectors ---------------------------------------------------------------
 
 
+def _gallai_blocks(
+    rows: Mapping[int, Sequence[int]], cand: tuple[int, ...], s: int
+) -> list[int] | None:
+    """The blocks of vertex set s for the between-color set ``cand``, or None.
+
+    ``rows[c]`` holds the adjacency bitsets of color c, and ``cand`` is one
+    color or two.  The blocks are the components, inside s, of the colors
+    outside ``cand``, sorted by least vertex; None when they collapse into
+    one, or when two of them are not joined in one color.  Every pair has
+    one color, so y's neighbors in the outside colors are s minus y minus
+    y's ``cand`` row, one row per vertex.  Each breadth-first step walks the
+    smaller side: a frontier vertex keeps, of the vertices not reached yet,
+    those in its ``cand`` row, and a step whose rows keep none has reached
+    the rest of s; or, the relation being symmetric, a vertex is reached
+    when the frontier leaves its ``cand`` row.
+
+    With no rainbow triangle in s, any two blocks are joined in one color
+    of ``cand``.  A vertex w outside a block sees the two ends of an
+    outside-colored edge uv in it in one color, or uvw is rainbow; the block
+    is connected by such edges, so w sees all of it in one color.  Applied
+    from both sides, the color of an edge xy between two blocks depends on
+    neither x nor y.  One color joins the blocks on any coloring.  For two,
+    c and d, the join is checked: each vertex must see s outside its block
+    in color c where its block's least vertex does, and then every edge
+    between two blocks has the color of the edge between their least
+    vertices.
+    """
+    first = rows[cand[0]]
+    both = first if len(cand) == 1 else list(map(operator.or_, first, rows[cand[1]]))
+    blocks = []
+    left = s
+    while left:
+        comp = frontier = left & -left
+        left ^= comp
+        while frontier and left:
+            if frontier.bit_count() <= left.bit_count():
+                keep = left
+                while frontier and keep:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    keep &= both[low.bit_length() - 1]
+                reached = left ^ keep
+            else:
+                reached = 0
+                rest = left
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    if frontier & ~both[low.bit_length() - 1]:
+                        reached |= low
+            frontier = reached
+            comp |= reached
+            left ^= reached
+        if comp == s:
+            return None
+        blocks.append(comp)
+    if len(cand) > 1:
+        for comp in blocks:
+            out = s ^ comp
+            rest = comp & (comp - 1)
+            want = first[(comp ^ rest).bit_length() - 1] & out
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if first[low.bit_length() - 1] & out != want:
+                    return None
+    return blocks
+
+
+def _first_split(
+    rows: Mapping[int, Sequence[int]], cands: Iterable[tuple[int, ...]], s: int
+) -> list[int] | None:
+    """The blocks of the first between-color set in ``cands`` that splits s, or None."""
+    return next((b for b in (_gallai_blocks(rows, c, s) for c in cands) if b is not None), None)
+
+
+def _two_colored(rows: Mapping[int, Sequence[int]], palette: Sequence[int], s: int) -> bool:
+    """Do all pairs inside s take a color of ``palette``, one color or two?"""
+    first = rows[palette[0]]
+    second = rows[palette[-1]]
+    rest = s
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        y = low.bit_length() - 1
+        if (s ^ low) & ~(first[y] | second[y]):
+            return False
+    return True
+
+
+def _first_rainbow(
+    rows: Mapping[int, Sequence[int]], colors: Sequence[int], s: int
+) -> tuple[int, int, int] | None:
+    """The lexicographically first rainbow triangle inside s, or None.
+
+    When a between-color set splits s (``_gallai_blocks``), no rainbow
+    triangle meets two blocks: its edges between blocks would have one
+    color of the set, or, with two colors, two of them would have one.  So
+    it lies inside a block, and the least of the blocks' first triangles is
+    s's.  Only sets of colors that meet s's least vertex x inside s can
+    split it, since x sees every other block in the set's colors.  With no
+    rainbow triangle in s, some set splits it (Gallai 1967), and two colors
+    are needed only when each of them alone connects the blocks, so that x
+    sees both.  So when no set splits s, s holds a rainbow triangle, and the
+    pair scan finds the first one.  When no single color splits s, x is
+    scanned before pairs of colors are tried: on a coloring far from Gallai,
+    such as a uniform random one, the first triangle lies on x.  A set that
+    uses at most two colors holds no rainbow triangle at all.
+    """
+    x = s & -s
+    at_x = [d for d, r in rows.items() if r[x.bit_length() - 1] & s]
+    if len(at_x) <= 2 and _two_colored(rows, at_x, s):
+        return None
+    blocks = _first_split(rows, ((c,) for c in at_x), s)
+    if blocks is None:
+        found = _pair_scan(rows, colors, s, x)
+        if found is not None:
+            return found
+        blocks = _first_split(rows, itertools.combinations(at_x, 2), s)
+        if blocks is None:
+            return _pair_scan(rows, colors, s, s ^ x)
+    best = None
+    for b in blocks:
+        if b.bit_count() < 3:
+            continue
+        if best is not None and best[0] < (b & -b).bit_length() - 1:
+            break
+        found = _first_rainbow(rows, colors, b)
+        if found is not None and (best is None or found < best):
+            best = found
+    return best
+
+
+def _pair_scan(
+    rows: Mapping[int, Sequence[int]], colors: Sequence[int], s: int, us: int
+) -> tuple[int, int, int] | None:
+    """The first rainbow triangle inside s whose least vertex is in ``us``, or None.
+
+    For u < v in s, with c the color of uv and M_d[y] the color-d row of y,
+    a third vertex w > v closes a rainbow triangle exactly when w lies
+    outside M_c[u] | M_c[v] | (M_d[u] & M_d[v] over every d).  The least v
+    with such a w, for the least u, and then its lowest w give the
+    lexicographically first triangle.  Only colors that meet u inside s can
+    be shared by uw and vw, and a vertex met by fewer than two of them lies
+    on no rainbow triangle in s.
+    """
+    while us:
+        bu = us & -us
+        us ^= bu
+        u = bu.bit_length() - 1
+        at_u = [(r, r[u]) for r in rows.values() if r[u] & s]
+        if len(at_u) < 2:
+            continue
+        vs = s & ~((bu << 1) - 1)
+        while vs:
+            bv = vs & -vs
+            vs ^= bv
+            v = bv.bit_length() - 1
+            rc = rows[colors[v * (v - 1) // 2 + u]]
+            shared = rc[u] | rc[v]
+            for r, y in at_u:
+                shared |= y & r[v]
+            cand = vs & ~shared
+            if cand:
+                return (u, v, (cand & -cand).bit_length() - 1)
+    return None
+
+
+def _class_rows(g: ColoredCompleteGraph) -> dict[int, list[int]]:
+    """The adjacency bitsets of each color present, ascending (k is unbounded)."""
+    return {d: g.class_masks(d) for d in g.colors_used()}
+
+
+def _rainbow_triangle(g: ColoredCompleteGraph, rows: Mapping[int, Sequence[int]]) -> Witness | None:
+    """``find_rainbow_triangle`` on rows already built by ``_class_rows``."""
+    if len(rows) < 3:
+        return None
+    found = _first_rainbow(rows, g.edge_colors(), (1 << g.n) - 1)
+    return None if found is None else Witness(RAINBOW_TRIANGLE, found)
+
+
 def find_rainbow_triangle(g: ColoredCompleteGraph) -> Witness | None:
     """First triangle (lex order) whose three edges have three distinct colors.
 
-    One bitset test per pair u < v.  With c the color of uv and M_d[x] the
-    color-d row of x, a third vertex w > v closes a rainbow triangle exactly
-    when w lies outside M_c[u] | M_c[v] | (M_d[u] & M_d[v] over every d).
-    The least v with such a w, for the least u, and then its lowest w give
-    the lexicographically first triangle.  Only colors that meet u can be
-    shared by uw and vw, and a vertex met by fewer than two colors lies on
-    no rainbow triangle.
+    The scan recurses into Gallai splits (``_first_rainbow``): a split
+    confines every rainbow triangle to one block, and only a vertex set
+    that no between-color set splits, which then holds a rainbow triangle,
+    falls back to a bitset test per pair.  So a coloring with no rainbow
+    triangle is cleared without any pair scan.
     """
-    n = g.n
-    colors = g.edge_colors()
-    rows = {d: g.class_masks(d) for d in set(colors)}  # only the colors present: k is unbounded
-    if len(rows) < 3:
-        return None
-    full = (1 << n) - 1
-    above = [full ^ ((2 << v) - 1) for v in range(n)]
-    for u in range(n - 2):
-        at_u = [(r, r[u]) for r in rows.values() if r[u]]
-        if len(at_u) < 2:
-            continue
-        for v in range(u + 1, n - 1):
-            rc = rows[colors[v * (v - 1) // 2 + u]]
-            shared = rc[u] | rc[v]
-            for r, x in at_u:
-                shared |= x & r[v]
-            cand = above[v] & ~shared
-            if cand:
-                return Witness(RAINBOW_TRIANGLE, (u, v, (cand & -cand).bit_length() - 1))
-    return None
+    return _rainbow_triangle(g, _class_rows(g))
 
 
 def _check_color(g: ColoredCompleteGraph, color: int) -> None:

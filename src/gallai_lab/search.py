@@ -303,40 +303,49 @@ class _ClassStore:
     colors in every order.  Relabeling vertices relabels that set of images
     and permuting a block leaves it as it is, so two colorings share a class
     exactly when the first image of one is vertex-isomorphic to some image
-    of the other.  A lookup builds and refines the first image only; the
-    others are built on accept, and every image is kept under its own trace.
-    Colorings of different orders never share a trace, so one store serves
-    every level.  Each image keeps its rows of colors 1..k-1, cut to its
-    order, and its equitable partition.  Lookups go through
-    ``_isomorphic``, which settles a partition of twin modules with one
-    pairing of the cells.
+    of the other.  A lookup builds and refines the first image only, on the
+    live rows; the others are built on accept, and every image is kept under
+    its own trace.  Colorings of different orders never share a trace, so
+    one store serves every level.  Each stored image keeps a copy of its
+    rows of colors 1..k-1, cut to its order, and its equitable partition.
+    Lookups go through ``_isomorphic``, which settles a partition of twin
+    modules with one pairing of the cells.
     """
 
     def __init__(self, blocks: Sequence[Sequence[int]] = ()):
         self.blocks = [tuple(b) for b in blocks]
         self.buckets: dict[tuple, list[tuple[list[list[int]], list[int]]]] = {}
 
-    def _images(self, masks: Sequence[list[int]], ell: int) -> Iterator[list[list[int]]]:
-        # each image's rows of colors 1..k-1, the first image first
+    def _images(
+        self, masks: Sequence[list[int]], sizes: Sequence[int]
+    ) -> Iterator[list[list[int]]]:
+        # each image's rows of colors 1..k-1, the first image first; the rows
+        # are masks' own.  The first image sorts each block by size, stably,
+        # which is the first of its _block_orders; the rest are drawn on accept
         if not self.blocks:
-            yield [row[:ell] for row in masks[1:-1]]
+            yield masks[1:-1]
             return
-        rows = [None] + [row[:ell] for row in masks[1:]]
-        sizes = [0] + [sum(map(int.bit_count, row)) for row in rows[1:]]
-        for orders in itertools.product(*(_block_orders(b, sizes) for b in self.blocks)):
-            source = list(range(len(rows)))
-            for block, order in zip(self.blocks, orders):
-                for c, s in zip(block, order):
+        source = list(range(len(masks)))
+        for block in self.blocks:
+            for c, s in zip(block, sorted(block, key=sizes.__getitem__)):
+                source[c] = s
+        yield [masks[s] for s in source[1:-1]]
+        orders = itertools.product(*(_block_orders(b, sizes) for b in self.blocks))
+        next(orders)
+        for order in orders:
+            for block, ranked in zip(self.blocks, order):
+                for c, s in zip(block, ranked):
                     source[c] = s
-            yield [rows[s] for s in source[1:-1]]
+            yield [masks[s] for s in source[1:-1]]
 
-    def add(self, masks: Sequence[list[int]], ell: int) -> bool:
+    def add(self, masks: Sequence[list[int]], ell: int, sizes: Sequence[int]) -> bool:
         """Record the coloring on vertices 0..ell-1; False if its class was already here.
 
         ``masks[c]`` holds the adjacency bitsets of color c (index 0 unused),
-        as the search keeps them.
+        and ``sizes[c]`` the number of color-c edges, as the search keeps
+        them.
         """
-        images = self._images(masks, ell)
+        images = self._images(masks, sizes)
         every = (1 << ell) - 1
         rows = next(images)
         cells, trace = _refine(rows, [every], [every])
@@ -344,10 +353,10 @@ class _ClassStore:
         for stored, stored_cells in bucket:
             if _isomorphic(rows, cells, stored, stored_cells):
                 return False
-        bucket.append((rows, cells))
+        bucket.append(([row[:ell] for row in rows], cells))
         for rows in images:
             cells, trace = _refine(rows, [every], [every])
-            self.buckets.setdefault(tuple(trace), []).append((rows, cells))
+            self.buckets.setdefault(tuple(trace), []).append(([row[:ell] for row in rows], cells))
         return True
 
 
@@ -388,6 +397,7 @@ class _Search:
         n, k = problem.n, problem.k
         self.colors = [[0] * n for _ in range(n)]
         self.masks = [[0] * n for _ in range(k + 1)]
+        self.sizes = [0] * (k + 1)  # edges of each color (index 0 unused)
         self.tables: list = [None] * n
         self.meter = _StepMeter(budget)
         # at v = 2 only m = 3 fits: these are the m = 3 tables for every prefix
@@ -477,6 +487,7 @@ class _Search:
             return
         colors = self.colors
         masks = self.masks
+        sizes = self.sizes
         bu = 1 << u
         bv = 1 << v
         above = colors[v - 1][u] if tie else 0
@@ -486,7 +497,9 @@ class _Search:
             colors[u][v] = colors[v][u] = c
             masks[c][u] |= bv
             masks[c][v] |= bu
+            sizes[c] += 1
             self._assign(v, u + 1, floor, c == above)
+            sizes[c] -= 1
             masks[c][u] ^= bv
             masks[c][v] ^= bu
             colors[u][v] = colors[v][u] = 0
@@ -526,7 +539,7 @@ class _Search:
             self.canonical += 1
             self._extend(level)
             return
-        if not self.seen.add(self.masks, level):
+        if not self.seen.add(self.masks, level, self.sizes):
             self.rejected += 1
             return
         self.canonical += 1

@@ -7,12 +7,13 @@ candidate between-color set and contracting the components everything else
 spans; with ``coarsest=True`` it then greedily merges parts while the split
 stays valid.
 
-With no rainbow triangle, any two of those components are joined in one
-color of the set (``_candidate_blocks`` says why), so no two of them ever
-need merging and each candidate split is valid by construction.  The loop
-compares candidates by part count alone and stops at the first split into
-two parts, the fewest there can be.  Only the winner is assembled, and it is
-validated once, as a safety net.
+The components come from ``detectors._gallai_blocks``, which the rainbow
+scan splits with too.  With no rainbow triangle, any two of them are joined
+in one color of the set (``_gallai_blocks`` says why), so no two of them
+ever need merging and each candidate split is valid by construction.  The
+loop compares candidates by part count alone and stops at the first split
+into two parts, the fewest there can be.  Only the winner is assembled, and
+it is validated once, as a safety net.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .coloring import (
     BitGraph,
     ColoredCompleteGraph,
     VertexSubset,
-    closure,
     induced,
     pair_index,
     relabel,
@@ -34,8 +34,10 @@ from .coloring import (
 from .detectors import (
     MONO_CYCLE,
     Witness,
+    _class_rows,
+    _gallai_blocks,
+    _rainbow_triangle,
     dirac_hamiltonian,
-    find_rainbow_triangle,
 )
 from .errors import HypothesisViolated, InvalidPartition, NotGallai
 
@@ -130,38 +132,6 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
 # -- computing a partition -----------------------------------------------------
 
 
-def _candidate_blocks(
-    g: ColoredCompleteGraph, cand: tuple[int, ...], used: Sequence[int]
-) -> list[int] | None:
-    """Blocks for one between-color set ``cand`` out of ``used``, or None if they collapse.
-
-    The blocks are the components of the colors outside ``cand``, sorted by
-    least vertex.  With no rainbow triangle any two of them are joined in one
-    color of ``cand``.  A vertex w outside a block sees the two ends of an
-    outside-colored edge uv in it in one color, or uvw is rainbow; the block
-    is connected by such edges, so w sees all of it in one color.  Applied
-    from both sides, the color of an edge xy between two blocks depends on
-    neither x nor y, so the two blocks are joined in one color.
-    """
-    n = g.n
-    other = [0] * n
-    for c in used:
-        if c in cand:
-            continue
-        rows = g.class_masks(c)
-        for v in range(n):
-            other[v] |= rows[v]
-    blocks = []
-    left = (1 << n) - 1
-    while left:
-        comp = closure(other, left & -left, left)
-        blocks.append(comp)
-        left &= ~comp
-    if len(blocks) < 2:
-        return None
-    return blocks
-
-
 def _block_pair_color(colors: Sequence[int], bi: int, bj: int) -> int:
     """The color between the least vertices of two disjoint blocks.
 
@@ -221,15 +191,17 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     """
     if g.n < 2:
         raise ValueError(f"partition needs at least 2 vertices, got {g.n}")
-    rw = find_rainbow_triangle(g)
+    rows = _class_rows(g)
+    rw = _rainbow_triangle(g, rows)
     if rw is not None:
         raise NotGallai(rw)
     colors = g.edge_colors()
-    used = g.colors_used()
+    used = tuple(rows)
+    everyone = (1 << g.n) - 1
     candidates = [(c,) for c in used] + list(combinations(used, 2))
     best: list[int] | None = None
     for cand in candidates:
-        blocks = _candidate_blocks(g, cand, used)
+        blocks = _gallai_blocks(rows, cand, everyone)
         if blocks is None:
             continue
         if coarsest:

@@ -108,6 +108,19 @@ def test_check_all_colors_reads_the_colors_present(tmp_path, capsys):
     assert out == "rainbow triangle: absent\nC_3 in color 1: 0 1 2\n"
 
 
+def test_check_color_list_with_no_entries_is_usage_error(tmp_path, capsys):
+    # on a file that holds a triangle in its one color, an empty list would
+    # scan no color and report it absent
+    f = tmp_path / "g.txt"
+    f.write_text("3 2\n1\n1 1\n")
+    code, out = run(capsys, "check", str(f), "--cycle", "3", "--colors", "1")
+    assert code == 1 and out == "C_3 in color 1: 0 1 2\n"
+    for empty in (",", "", " , "):
+        assert main(["check", str(f), "--cycle", "3", "--colors", empty]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "names no color" in captured.err
+
+
 def test_check_color_subset(tmp_path, capsys):
     f = tmp_path / "g.txt"
     run(capsys, "gen", "extremal-odd", "--ell", "2", "--k", "2", "-o", str(f))

@@ -14,6 +14,9 @@ from gallai_lab.coloring import (
     build,
     closure,
     complete_monochromatic,
+    pair_index,
+    relabel,
+    substitute,
 )
 from gallai_lab.constructions import build_extremal_odd, random_gallai
 from gallai_lab.detectors import (
@@ -76,31 +79,99 @@ def test_canonical_path_prefers_smaller_end():
 # -- rainbow triangles -----------------------------------------------------------
 
 
+# P_4 in two colors: color 1 on the path 0-1-2-3, color 2 on the other pairs.
+# It is prime, so only the two-color set {1, 2} splits a blow-up of it.
+P4 = ColoredCompleteGraph(4, 2, [1, 2, 1, 2, 2, 1])
+
+
+def _p4_blow_up(rng, sizes: list[int], k: int, edits: int = 0) -> ColoredCompleteGraph:
+    # each P_4 vertex becomes a random Gallai coloring on colors 3..k+2, with
+    # ``edits`` pairs recolored at random inside it
+    parts = []
+    for size in sizes:
+        part = random_gallai(size, k, rng.randrange(2**32))
+        if size > 1:
+            part = _recolored(rng, part, edits)
+        parts.append(ColoredCompleteGraph(size, k + 2, [c + 2 for c in part.edge_colors()]))
+    return substitute(P4, parts)
+
+
+def _shuffled(rng, g: ColoredCompleteGraph) -> ColoredCompleteGraph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return relabel(g, perm)
+
+
+def _unjoined_split(rng, sizes: list[int], k: int) -> ColoredCompleteGraph:
+    # a P_4 blow-up with one edge between parts 1..3 turned from color 1 to 2
+    # or back: {1, 2} still splits it into the parts, but two of them are no
+    # longer joined in one color, and the rainbow triangles run across them
+    # and miss vertex 0
+    g = _p4_blow_up(rng, sizes, k)
+    starts = [sum(sizes[:i]) for i in range(4)]
+    i, j = sorted(rng.sample(range(1, 4), 2))
+    u = rng.randrange(starts[i], starts[i] + sizes[i])
+    v = rng.randrange(starts[j], starts[j] + sizes[j])
+    flat = list(g.edge_colors())
+    flat[pair_index(u, v)] = 3 - flat[pair_index(u, v)]
+    return ColoredCompleteGraph(g.n, g.k, flat)
+
+
+def _shuffled_staircase(rng, n: int, k: int) -> ColoredCompleteGraph:
+    # color (u mod k) + 1 on each pair u < v, then relabeled at random: a
+    # Gallai coloring that splits off one vertex at a time
+    stairs = [u % k + 1 for v in range(1, n) for u in range(v)]
+    return _shuffled(rng, ColoredCompleteGraph(n, k, stairs))
+
+
+def _recolored(rng, g: ColoredCompleteGraph, edits: int) -> ColoredCompleteGraph:
+    flat = list(g.edge_colors())
+    for _ in range(edits):
+        flat[rng.randrange(len(flat))] = rng.randint(1, g.k)
+    return ColoredCompleteGraph(g.n, g.k, flat)
+
+
 def test_rainbow_matches_triple_enumeration():
     rng = random.Random(10)
-    for _ in range(120):
-        g = random_coloring(rng, rng.randint(3, 14), rng.randint(1, 5))
+    hosts = [random_coloring(rng, rng.randint(3, 14), rng.randint(1, 5)) for _ in range(120)]
+    for _ in range(60):
+        sizes = [rng.randint(1, 4) for _ in range(4)]
+        k = rng.randint(1, 4)
+        hosts.append(_p4_blow_up(rng, sizes, k))
+        hosts.append(_recolored(rng, _p4_blow_up(rng, sizes, k), rng.randint(1, 3)))
+        hosts.append(_unjoined_split(rng, [rng.randint(1, 2)] + sizes[1:], k))
+        # rainbow triangles inside the parts, whose vertices interleave
+        hosts.append(_shuffled(rng, _p4_blow_up(rng, sizes, k + 2, rng.randint(1, 2))))
+        stairs = _shuffled_staircase(rng, rng.randint(3, 14), rng.randint(3, 5))
+        hosts += [stairs, _recolored(rng, stairs, rng.randint(1, 3))]
+    for g in hosts:
         all_triples = rainbow_triangles_bruteforce(g)
         w = find_rainbow_triangle(g)
         if not all_triples:
             assert w is None
         else:
             assert w is not None and w.kind == RAINBOW_TRIANGLE
-            assert w.vertices == min(all_triples)
+            assert w.vertices == min(all_triples), g.edge_colors()
             assert validate_witness(g, w)
 
 
 def test_rainbow_first_witness_at_64_vertices():
     # Uniform random colorings put the first rainbow triangle on vertices
-    # 0..3; Gallai hosts with a few recolored edges put it anywhere.
+    # 0..3; Gallai hosts with a few recolored edges, P_4 blow-ups and shuffled
+    # staircases put it anywhere, and a split into blocks that are not
+    # joined in one color puts it across them.
     rng = random.Random(12)
     hosts = [build_extremal_odd(2, 5)[0]]
     for k in (3, 4, 5):
         g = random_gallai(64, k, rng.randrange(2**32))
-        flat = list(g.edge_colors())
-        for _ in range(rng.randint(1, 3)):
-            flat[rng.randrange(len(flat))] = rng.randint(1, k)
-        hosts += [g, ColoredCompleteGraph(64, k, flat)]
+        hosts += [g, _recolored(rng, g, rng.randint(1, 3))]
+    for k in (3, 4):
+        hosts.append(random_coloring(rng, 64, k))
+        g = _p4_blow_up(rng, [16] * 4, k)
+        hosts += [g, _recolored(rng, g, 2), _unjoined_split(rng, [16] * 4, k)]
+        hosts.append(_shuffled(rng, _p4_blow_up(rng, [16] * 4, k, 1)))
+        g = _shuffled_staircase(rng, 64, k)
+        hosts += [g, _recolored(rng, g, 2)]
     found = []
     for g in hosts:
         all_triples = rainbow_triangles_bruteforce(g)

@@ -121,7 +121,8 @@ def _vertex_class_count(reps_masks, blocks) -> int:
     count = 0
     for masks, ell in reps_masks:
         for tau in palette_permutations(blocks):
-            count += store.add(_renamed_masks(masks, tau), ell)
+            renamed = _renamed_masks(masks, tau)
+            count += store.add(renamed, ell, _sizes(renamed))
     return count
 
 
@@ -167,8 +168,9 @@ def test_class_store_keeps_exactly_the_min_images(monkeypatch):
     add = _ClassStore.add
     calls = []
 
-    def checked_add(self, masks, ell):
-        kept = add(self, masks, ell)
+    def checked_add(self, masks, ell, sizes):
+        assert list(sizes) == _sizes(masks)
+        kept = add(self, masks, ell, sizes)
         colors = _colors_of(masks, ell)
         assert kept == is_group_min_image(colors, ell, self.blocks), colors
         calls.append((ell, kept, _is_min_image(colors, ell)))
@@ -222,6 +224,11 @@ def _masks(g: ColoredCompleteGraph) -> list[list[int]]:
     return [[0] * g.n] + [g.class_masks(c) for c in range(1, g.k + 1)]
 
 
+def _sizes(masks) -> list[int]:
+    # the edges of each color, as the search counts them (index 0 unused)
+    return [sum(map(int.bit_count, rows)) // 2 for rows in masks]
+
+
 def _assert_store_agrees_with_oracle(colorings) -> None:
     # a coloring opens a new class in the store exactly when its minimal
     # word has not been seen before
@@ -229,7 +236,7 @@ def _assert_store_agrees_with_oracle(colorings) -> None:
     keys = set()
     for g in colorings:
         key = canonical_key(_matrix(g), g.n)
-        assert store.add(_masks(g), g.n) == (key not in keys)
+        assert store.add(_masks(g), g.n, _sizes(_masks(g))) == (key not in keys)
         keys.add(key)
 
 
@@ -327,9 +334,10 @@ def test_twin_module_partitions_are_decided_without_individualizing(monkeypatch)
         if not all(_every_permutation_keeps(_matrix(g), list(bits(cell))) for cell in cells):
             continue
         store = _ClassStore()
-        assert store.add(_masks(g), g.n)
+        assert store.add(_masks(g), g.n, _sizes(_masks(g)))
         calls.clear()
-        assert not store.add(_masks(_shuffled(rng, g)), g.n)
+        shuffled = _masks(_shuffled(rng, g))
+        assert not store.add(shuffled, g.n, _sizes(shuffled))
         assert len(calls) == 1
         decided += 1
     assert decided >= 8
@@ -446,7 +454,7 @@ def _assert_group_store_agrees_with_oracle(colorings, blocks) -> None:
     keys = set()
     for g in colorings:
         key = canonical_key(_matrix(g), g.n, blocks)
-        assert store.add(_masks(g), g.n) == (key not in keys), g.edge_colors()
+        assert store.add(_masks(g), g.n, _sizes(_masks(g))) == (key not in keys), g.edge_colors()
         keys.add(key)
 
 
@@ -488,7 +496,7 @@ def test_class_store_images_cover_tied_and_empty_colors():
     # a store entry per distinct renaming that orders the block by class
     # size: ties give one image per order, empty colors are all alike
     def images(g, blocks):
-        return len(list(_ClassStore(blocks)._images(_masks(g), g.n)))
+        return len(list(_ClassStore(blocks)._images(_masks(g), _sizes(_masks(g)))))
 
     triangle_and_star = _tied_pool(3)[0]
     assert images(triangle_and_star, [(1, 2, 3)]) == 2
@@ -510,8 +518,8 @@ def test_class_store_builds_only_the_first_image_of_a_rejected_coloring(monkeypa
     refine = search._refine
     images = _ClassStore._images
 
-    def counted_images(self, masks, ell):
-        for rows in images(self, masks, ell):
+    def counted_images(self, masks, sizes):
+        for rows in images(self, masks, sizes):
             drawn.append(rows)
             yield rows
 
@@ -527,13 +535,13 @@ def test_class_store_builds_only_the_first_image_of_a_rejected_coloring(monkeypa
         assert all(_every_permutation_keeps(_matrix(g), list(bits(cell))) for cell in cells)
         store = _ClassStore([(1, 2, 3)])
         drawn.clear()
-        assert store.add(_masks(g), g.n)
+        assert store.add(_masks(g), g.n, _sizes(_masks(g)))
         assert len(drawn) == count
         assert sum(map(len, store.buckets.values())) == count
         renamed = _renamed_coloring(_shuffled(rng, g), {1: 2, 2: 3, 3: 1})
         calls.clear()
         drawn.clear()
-        assert not store.add(_masks(renamed), g.n)
+        assert not store.add(_masks(renamed), g.n, _sizes(_masks(renamed)))
         assert (len(calls), len(drawn)) == (1, 1)
 
 
@@ -968,8 +976,8 @@ def test_search_gallai_c5_three_colors_exhausts_at_seventeen(monkeypatch):
     add = _ClassStore.add
     reps = []
 
-    def recording_add(self, masks, ell):
-        kept = add(self, masks, ell)
+    def recording_add(self, masks, ell, sizes):
+        kept = add(self, masks, ell, sizes)
         if kept:
             reps.append(([row[:ell] for row in masks], ell))
         return kept

@@ -12,17 +12,17 @@ from gallai_lab.coloring import (
     ColoredCompleteGraph,
     VertexSubset,
     bits,
+    closure,
     complete_monochromatic,
     induced,
     relabel,
     substitute,
 )
 from gallai_lab.constructions import build_extremal_odd, random_gallai
-from gallai_lab.detectors import find_mono_cycle, find_rainbow_triangle
+from gallai_lab.detectors import _gallai_blocks, find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import HypothesisViolated, InvalidPartition, NotGallai
 from gallai_lab.structure import (
     GallaiPartition,
-    _candidate_blocks,
     between_parts_cycle,
     gallai_partition,
     reconstruct,
@@ -143,6 +143,10 @@ def test_partition_matches_the_definitional_reference():
             assert gallai_partition(g, coarsest) == gallai_partition_reference(g, coarsest)
 
 
+def _rows(g: ColoredCompleteGraph) -> dict:
+    return {c: g.class_masks(c) for c in g.colors_used()}
+
+
 def test_candidate_blocks_are_pairwise_joined_in_one_color():
     # Why gallai_partition never merges blocks: with no rainbow triangle, the
     # components of the colors outside a candidate set meet in one color.
@@ -151,12 +155,47 @@ def test_candidate_blocks_are_pairwise_joined_in_one_color():
         g = random_gallai(rng.randint(2, 30), rng.randint(2, 6), rng.randrange(10**6))
         used = g.colors_used()
         for cand in [(c,) for c in used] + list(itertools.combinations(used, 2)):
-            for a, b in itertools.combinations(_candidate_blocks(g, cand, used) or [], 2):
+            blocks = _gallai_blocks(_rows(g), cand, (1 << g.n) - 1)
+            for a, b in itertools.combinations(blocks or [], 2):
                 between = {g.color_of(u, v) for u in bits(a) for v in bits(b)}
                 assert len(between) == 1 and between <= set(cand)
-    # A rainbow triangle breaks it: block {0, 1} (color 3) meets {2} in colors 1 and 2.
+    # A rainbow triangle breaks it: block {0, 1} (color 3) meets {2} in
+    # colors 1 and 2, so the split is refused.
     g = ColoredCompleteGraph(3, 3, [3, 1, 2])
-    assert _candidate_blocks(g, (1, 2), (1, 2, 3)) == [0b011, 0b100]
+    assert _gallai_blocks(_rows(g), (1, 2), 0b111) is None
+
+
+def test_gallai_blocks_are_the_components_outside_the_candidate_colors():
+    # On any coloring and any vertex set s, the blocks are the components
+    # inside s of the other colors (found here by closure over their rows);
+    # two colors also need each pair of blocks joined in one color.
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(2, 24)
+        k = rng.randint(2, 5)
+        if rng.random() < 0.5:
+            g = random_gallai(n, k, rng.randrange(10**6))
+        else:
+            g = random_coloring(rng, n, k)
+        s = rng.randrange(1, 1 << n) if rng.random() < 0.5 else (1 << n) - 1
+        used = g.colors_used()
+        for cand in [(c,) for c in used] + list(itertools.combinations(used, 2)):
+            other = [0] * n
+            for c in used:
+                if c not in cand:
+                    other = [a | b for a, b in zip(other, g.class_masks(c))]
+            comps = []
+            left = s
+            while left:
+                comp = closure(other, left & -left, left)
+                comps.append(comp)
+                left &= ~comp
+            joined = all(
+                len({g.color_of(u, v) for u in bits(a) for v in bits(b)}) == 1
+                for a, b in itertools.combinations(comps, 2)
+            )
+            expect = comps if len(comps) > 1 and (len(cand) == 1 or joined) else None
+            assert _gallai_blocks(_rows(g), cand, s) == expect, (g.edge_colors(), cand, s)
 
 
 def test_partition_validates_once_per_call(monkeypatch):
