@@ -285,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
     sch.add_argument("--n", type=int, help="cycle order for color 2 (ramsey)")
     sch.add_argument("--k", type=int, help="palette size (gallai)")
     sch.add_argument("--budget", type=int, default=search.DEFAULT_BUDGET,
-                     help="steps per order: one per cycle-walk call and l * k per node"
-                          " (a cycle-free color vector) of order l on k colors; an order that"
-                          " runs out ends the search with a lower bound (default %(default)s)")
+                     help="steps for the whole search: one per cycle-walk call and l * k per"
+                          " node (a cycle-free color vector) of order l on k colors; a search that"
+                          " runs out ends with a lower bound (default %(default)s)")
     sch.add_argument("--witness-file")
     sch.add_argument("-o", "--output")
     sch.set_defaults(func=_cmd_search)

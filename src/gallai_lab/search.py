@@ -33,14 +33,15 @@ vectors that cannot be min-images are cut while they are assigned
 and each level is visited in word order, so the first member of a class to
 reach the store is its min-image.
 
-One depth-first search covers an order, and a budget caps the steps it
-takes there.  A call of the path-end walk is one step, so one cycle test
-cannot run unbounded either.  A node of order l with k colors is l * k
-steps, one per vertex and color of the coloring the store refines: its
-cost grows with both, and so weighed a step costs about what a walk call
-does (1.2-5 microseconds in walk-bound and node-bound runs alike, Python
-3.11 on a shared 2-vCPU VM).  The budget is the only thing that stops a
-threshold search short of an answer.
+One depth-first search answers every order at once, since nothing below
+order n depends on n: it records the first coloring it completes at each
+order, and a budget caps the steps of the whole search.  A call of the
+path-end walk is one step, so one cycle test cannot run unbounded either.
+A node of order l with k colors is l * k steps, one per vertex and color of
+the coloring the store refines: its cost grows with both, and so weighed a
+step costs about what a walk call does (1.2-5 microseconds in walk-bound
+and node-bound runs alike, Python 3.11 on a shared 2-vCPU VM).  The budget
+is the only thing that stops a threshold search short of an answer.
 """
 
 from __future__ import annotations
@@ -52,7 +53,14 @@ import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .coloring import MAX_VERTICES, ColoredCompleteGraph
+from .coloring import (
+    MAX_VERTICES,
+    ColoredCompleteGraph,
+    VertexSubset,
+    complete_monochromatic,
+    induced,
+    substitute,
+)
 from .constructions import (
     build_extremal_odd,
     build_ramsey_cycle_lower,
@@ -73,8 +81,8 @@ FOUND = "found"
 EXHAUSTED = "exhausted"
 BUDGET_EXCEEDED = "budget_exceeded"
 
-# steps per order for the threshold searches: enough to exhaust R(C9,C9) = 17
-# (6.65 million steps), and about 10-60 s for an order that runs out
+# steps for a whole threshold search: enough to exhaust R(C9,C9) = 17
+# (6.65 million steps), and about 10-60 s for a search that runs out
 DEFAULT_BUDGET = 10_000_000
 
 
@@ -114,6 +122,8 @@ class SearchStats:
     ms: int = 0
 
     def absorb(self, other: "SearchStats") -> None:
+        """Add another search's counts.  Only the benchmark calls this: drop it
+        with the next benchmark change."""
         self.nodes += other.nodes
         self.canonical += other.canonical
         self.rejected += other.rejected
@@ -379,20 +389,23 @@ def _path_end_tables(masks: list[list[int]], forbidden: Sequence[int], v: int,
 
 
 class _Found(Exception):
-    """A decision-mode search completed its first avoider, ``args[0]``."""
+    """A decision-mode search completed a coloring of its order n."""
 
 
 class _Search:
     """One depth-first search over the colorings of K_n that avoid the problem.
 
     ``budget`` caps the steps taken, None for no cap: l * k per node of
-    order l and one per call of a path-end walk.  With ``collect`` every canonical coloring
-    of order n is appended to it; without, the search stops at the first
-    one by raising ``_Found``.
+    order l and one per call of a path-end walk.  ``words[l - 1]`` is the
+    first coloring it completes at order l, as a flat color word.  With
+    ``collect`` every canonical coloring of order n is appended to it;
+    without, the search stops at the first one by raising ``_Found``.
     """
 
     def __init__(self, problem: AvoidanceProblem, budget: int | None = None,
                  collect: list[ColoredCompleteGraph] | None = None):
+        if budget is not None and budget < 1:
+            raise BadParameters(f"step budget {budget} must be at least 1")
         self.p = problem
         n, k = problem.n, problem.k
         self.colors = [[0] * n for _ in range(n)]
@@ -406,7 +419,7 @@ class _Search:
         self.nodes = 0
         self.canonical = 0
         self.rejected = 0
-        self.found: ColoredCompleteGraph | None = None
+        self.words: list[list[int]] = []
         self.exceeded = False
         # renaming colors of equal forbidden length keeps every constraint
         blocks: dict[int, list[int]] = {}
@@ -424,8 +437,8 @@ class _Search:
                 self._count_node(1)
                 self.canonical += 1
             self._extend(1)
-        except _Found as stop:
-            self.found = stop.args[0]
+        except _Found:
+            pass
         except _OutOfSteps:
             self.exceeded = True
         finally:
@@ -441,19 +454,16 @@ class _Search:
         meter.steps = steps
         self.nodes += 1
 
-    def _to_graph(self) -> ColoredCompleteGraph:
-        n = self.p.n
-        flat = []
-        for v in range(1, n):
-            flat.extend(self.colors[v][:v])
-        return ColoredCompleteGraph(n, self.p.k, flat)
+    def _word(self, v: int) -> list[int]:
+        return [c for w in range(1, v) for c in self.colors[w][:w]]
 
     def _extend(self, v: int) -> None:
+        if v > len(self.words):
+            self.words.append(self._word(v))
         if v == self.p.n:
-            g = self._to_graph()
             if self.collect is None:
-                raise _Found(g)
-            self.collect.append(g)
+                raise _Found
+            self.collect.append(ColoredCompleteGraph(v, self.p.k, self._word(v)))
             return
         # the coloring on 0..v-1 stays fixed while v's vector is assigned
         self.tables[v] = _path_end_tables(self.masks, self.p.forbidden, v, self.triangles,
@@ -559,22 +569,16 @@ def exists_avoiding(
     size to the largest order its caller allows; a larger order raises
     OverLimit.
     """
-    if budget is not None and budget < 1:
-        raise BadParameters(f"step budget {budget} must be at least 1")
     limit = (limit_overrides or {}).get(problem.k)
     if limit is not None and problem.n > limit:
         raise OverLimit(problem.n, problem.k, limit)
     t0 = time.monotonic()
     s = _Search(problem, budget).run()
-    if s.found is not None:
-        status = FOUND
-    elif s.exceeded:
-        status = BUDGET_EXCEEDED
-    else:
-        status = EXHAUSTED
     ms = int((time.monotonic() - t0) * 1000)
     stats = SearchStats(s.nodes, s.canonical, s.rejected, s.meter.steps, ms)
-    return SearchOutcome(status, s.found, stats)
+    if len(s.words) == problem.n:
+        return SearchOutcome(FOUND, ColoredCompleteGraph(problem.n, problem.k, s.words[-1]), stats)
+    return SearchOutcome(BUDGET_EXCEEDED if s.exceeded else EXHAUSTED, None, stats)
 
 
 def enumerate_avoiding(problem: AvoidanceProblem) -> list[ColoredCompleteGraph]:
@@ -691,39 +695,41 @@ def _run_threshold(
     budget: int | None,
     construction: ColoredCompleteGraph | None,
 ) -> SearchReport:
-    """Search upward from the construction's order to the first order with no avoider.
+    """One search, up to order MAX_VERTICES, for the first order with no avoider.
 
     Induced colorings of an avoiding coloring still avoid, so a clean
-    construction settles every order up to its own.  The search stops at
-    the first order that runs out of ``budget`` steps, or after order
-    MAX_VERTICES.  An exact value is checked against the closed form
-    ``formula`` (None where none is known).
+    construction settles every order up to its own.  The search stops when
+    it exhausts, reaches order MAX_VERTICES or runs out of ``budget`` steps.
+    The witness is its deepest first coloring, or the construction if that
+    is as deep.
+    An exact value is checked against the closed form ``formula`` (None
+    where none is known).
     """
     k, cycles, rainbow = _family_problem(family, params)
     forbidden = tuple(
         next(m for m, cs in cycles if cs is None or c in cs) for c in range(1, k + 1))
-    witness, start = construction, 1
+    # made before any shortcut, so that a bad budget is always refused
+    s = _Search(AvoidanceProblem(MAX_VERTICES, k, forbidden, rainbow), budget)
+    witness, stats = construction, SearchStats()
     if construction is not None:
         w = next(forbidden_structures(construction, rainbow, cycles), None)
         if w is not None:
             raise AssertionError(f"the {construction.n}-vertex construction contains a {w.kind}")
-        start = construction.n + 1
-    stats = SearchStats()
-    for order in range(start, MAX_VERTICES + 1):
-        problem = AvoidanceProblem(order, k, forbidden, rainbow)
-        out = exists_avoiding(problem, budget=budget)
-        stats.absorb(out.stats)
-        if out.status == EXHAUSTED:
-            if formula is not None and order != formula:
+    if witness is None or witness.n < MAX_VERTICES:
+        t0 = time.monotonic()
+        s.run()
+        stats = SearchStats(s.nodes, s.canonical, s.rejected, s.meter.steps,
+                            int((time.monotonic() - t0) * 1000))
+        depth = len(s.words)
+        if witness is None or depth > witness.n:
+            witness = ColoredCompleteGraph(depth, k, s.words[-1])
+        if not s.exceeded and depth < MAX_VERTICES:
+            if formula is not None and depth + 1 != formula:
                 raise AssertionError(
-                    f"search value {order} contradicts the closed form {formula} for {name}"
+                    f"search value {depth + 1} contradicts the closed form {formula} for {name}"
                 )
-            return SearchReport(family, params, order, order, order, witness, stats)
-        if out.status == BUDGET_EXCEEDED:
-            break
-        witness = out.coloring
-    lower = (witness.n if witness is not None else 0) + 1
-    return SearchReport(family, params, None, lower, None, witness, stats)
+            return SearchReport(family, params, depth + 1, depth + 1, depth + 1, witness, stats)
+    return SearchReport(family, params, None, witness.n + 1, None, witness, stats)
 
 
 def search_ramsey(m: int, n: int, budget: int | None = DEFAULT_BUDGET) -> SearchReport:
@@ -743,19 +749,25 @@ def search_gallai_ramsey(m: int, k: int, budget: int | None = DEFAULT_BUDGET) ->
     """The least order forcing, in every rainbow-triangle-free k-coloring, a mono C_m.
 
     With k <= 2 every coloring is trivially rainbow-triangle-free, so this is
-    the plain k-color cycle Ramsey question.  When an order runs out of
+    the plain k-color cycle Ramsey question.  When the search runs out of
     budget, the report carries a lower bound backed by a verified witness:
     the last avoider found, or the doubled extremal coloring when m is odd.
+    Past 64 vertices that coloring is cut to a 64-vertex slice: the largest
+    doubling that fits, joined in its next color to its own first vertices.
     """
     if m < 3:
         raise BadParameters(f"cycle order m={m} must be at least 3")
     if k < 1:
         raise BadParameters(f"color count k={k} must be at least 1")
     construction = None
-    if m % 2 == 1 and m >= 5:
+    if m % 2 == 1 and 5 <= m <= MAX_VERTICES + 1:
         ell = (m - 1) // 2
-        if ell * 2**k <= 64:
-            construction, _ = build_extremal_odd(ell, k)
+        j = min(k, (MAX_VERTICES // ell).bit_length() - 1)
+        g, _ = build_extremal_odd(ell, j)
+        if j < k and g.n < MAX_VERTICES:
+            rest = induced(g, VertexSubset(g.n, (1 << MAX_VERTICES - g.n) - 1))
+            g = substitute(complete_monochromatic(2, j + 1, j + 1), [g, rest])
+        construction = ColoredCompleteGraph(g.n, k, g.edge_colors())
     return _run_threshold(
         "GallaiRamsey", {"m": m, "k": k, "budget": budget}, f"gr_{k}(K_3 : C_{m})",
         gallai_ramsey_formula(m, k), budget, construction,

@@ -376,6 +376,11 @@ def test_search_budget_covering_the_exhaustion_gives_the_value(capsys):
     assert (payload["value"], payload["lower"]) == (None, 6)
     code, _ = run(capsys, "search", "ramsey", "--m", "3", "--n", "3", "--budget", "0")
     assert code == 2
+    # a bad budget is refused also where a 64-vertex construction leaves no order to search
+    code, _ = run(capsys, "search", "ramsey", "--m", "5", "--n", "33", "--budget", "0")
+    assert code == 2
+    code, _ = run(capsys, "search", "gallai", "--m", "65", "--k", "1", "--budget", "-5")
+    assert code == 2
 
 
 def test_search_stdout_has_null_witness_file(capsys):

@@ -14,6 +14,7 @@ import pytest
 
 from gallai_lab import detectors, search
 from gallai_lab.coloring import (
+    MAX_VERTICES,
     ColoredCompleteGraph,
     bits,
     build,
@@ -737,9 +738,13 @@ def test_per_order_counts_with_and_without_renamings():
         assert (out.status, st.nodes, st.canonical, st.rejected) == expected, p
 
 
+def _digest(g: ColoredCompleteGraph) -> str:
+    # the first 16 hex digits of the sha256 of the serialized text
+    return hashlib.sha256(serialize(g).encode()).hexdigest()[:16]
+
+
 def _orders_until_exhausted(k, forbidden, rainbow, digests=None):
-    # with ``digests``, each found coloring's serialized text is pinned too,
-    # by the first 16 hex digits of its sha256
+    # with ``digests``, each found coloring's serialized text is pinned too
     rows = []
     for n in itertools.count(1):
         out = exists_avoiding(AvoidanceProblem(n, k, forbidden, rainbow))
@@ -748,7 +753,7 @@ def _orders_until_exhausted(k, forbidden, rainbow, digests=None):
         if out.status != FOUND:
             return rows
         if digests is not None:
-            digests.append(hashlib.sha256(serialize(out.coloring).encode()).hexdigest()[:16])
+            digests.append(_digest(out.coloring))
 
 
 def test_per_order_counts_of_the_benchmark_searches():
@@ -756,18 +761,27 @@ def test_per_order_counts_of_the_benchmark_searches():
     # the benchmark's threshold workloads grow them
     small = [(FOUND, 1, 1, 0), (FOUND, 1, 1, 0), (FOUND, 2, 2, 0), (FOUND, 3, 3, 0),
              (FOUND, 4, 4, 0), (FOUND, 5, 5, 0)]
-    found = {"c5c6": [], "c6c6": [], "gallai-k3": []}
-    assert _orders_until_exhausted(2, (5, 6), False, found["c5c6"]) == small + [
+    problems = {"c5c6": (2, (5, 6), False), "c6c6": (2, (6, 6), False),
+                "gallai-k3": (3, (3, 3, 3), True)}
+    found = {name: [] for name in problems}
+    rows = {name: _orders_until_exhausted(*p, found[name]) for name, p in problems.items()}
+    assert rows["c5c6"] == small + [
         (FOUND, 21, 16, 5), (FOUND, 100, 62, 38), (FOUND, 101, 63, 38),
         (FOUND, 102, 64, 38), (EXHAUSTED, 263, 114, 149),
     ]
-    assert _orders_until_exhausted(2, (6, 6), False, found["c6c6"]) == small + [
-        (FOUND, 6, 6, 0), (EXHAUSTED, 229, 84, 145),
-    ]
-    assert _orders_until_exhausted(3, (3, 3, 3), True, found["gallai-k3"]) == small + [
+    assert rows["c6c6"] == small + [(FOUND, 6, 6, 0), (EXHAUSTED, 229, 84, 145)]
+    assert rows["gallai-k3"] == small + [
         (FOUND, 6, 6, 0), (FOUND, 7, 7, 0), (FOUND, 9, 9, 0), (FOUND, 18, 16, 2),
         (EXHAUSTED, 94, 39, 55),
     ]
+    # one search up to order 64 completes the same first coloring at each
+    # order, and exhausts with the exhausting order's counts
+    for name, (k, forbidden, rainbow) in problems.items():
+        s = search._Search(AvoidanceProblem(MAX_VERTICES, k, forbidden, rainbow)).run()
+        assert not s.exceeded
+        words = [_digest(ColoredCompleteGraph(n, k, w)) for n, w in enumerate(s.words, 1)]
+        assert words == found[name]
+        assert (EXHAUSTED, s.nodes, s.canonical, s.rejected) == rows[name][-1]
     # the found colorings, order by order: a faster search must find the same ones
     assert found == {
         "c5c6": ["f251ddc12234e0da", "e3c71e9c5df45b2d", "b61da295e076bd32", "b15a08698799b937",
@@ -906,14 +920,16 @@ def test_one_cycle_test_cannot_outrun_the_budget():
 
 def test_a_node_weighs_its_order_times_its_colors():
     # with only triangles forbidden no walk runs, and every step is a node's
-    # weight.  gr_5(K_3 : C_3) finds avoiders up to order 41 in seconds; at 42
-    # a node is up to 42 * 5 = 210 steps, so the default budget ends that
-    # order within a minute, where one step per node took hours
+    # weight.  gr_5(K_3 : C_3) finds avoiders up to order 41 in seconds; near
+    # 42 a node is up to 42 * 5 = 210 steps, so the default budget ends the
+    # search within a minute, where one step per node took hours
     p = AvoidanceProblem.uniform(42, 5, 3, rainbow=True)
     out = exists_avoiding(p, budget=20_000)
     assert (out.status, out.stats.nodes, out.stats.steps) == (BUDGET_EXCEEDED, 143, 19_955)
+    # one search covers every order, so the budget caps the whole of it
     rep = search_gallai_ramsey(3, 5, budget=100_000)
-    assert (rep.value, rep.lower, rep.stats.nodes) == (None, 40, 3018)
+    assert (rep.value, rep.lower, rep.stats.nodes) == (None, 40, 633)
+    assert rep.stats.steps <= 100_000
     assert verify_certificate(rep).valid
 
 
@@ -1046,6 +1062,23 @@ def test_search_gallai_partial_uses_doubled_construction():
     assert rep.lower == 25  # 3 * 2^3 + 1
     assert rep.witness.n == 24
     assert verify_certificate(rep).valid
+
+
+def test_search_gallai_past_sixty_four_vertices_takes_a_slice():
+    # 5 * 2^5 = 160 vertices do not fit: the 40-vertex doubling joined in
+    # color 4 to its own first 24 vertices stands for every order up to 64,
+    # so no search runs
+    t0 = time.process_time()
+    rep = search_gallai_ramsey(11, 5)
+    assert time.process_time() - t0 < 1
+    assert (rep.value, rep.lower, rep.upper, rep.stats.nodes) == (None, 65, None, 0)
+    assert (rep.witness.n, rep.witness.k) == (64, 5)
+    assert verify_certificate(rep).valid
+    for ell, k in [(5, 5), (3, 5), (4, 5), (2, 6), (2, 7), (7, 4), (15, 3), (11, 3), (21, 2),
+                   (32, 2)]:
+        rep = search_gallai_ramsey(2 * ell + 1, k, budget=1)
+        assert (rep.lower, rep.witness.n, rep.witness.k) == (65, 64, k)
+        assert verify_certificate(rep).valid
 
 
 def test_formula_cross_check_trips_on_contradiction(monkeypatch):
