@@ -4,9 +4,11 @@ A coloring assigns one color id (1-based, dense, 0 reserved for "absent") to
 every unordered pair of vertices of K_n.  Values are immutable after
 construction; every transformation returns a new graph.  The authoritative
 store is a flat upper-triangular tuple; per-color adjacency bitsets are
-derived once at construction and shared by all detectors.  The bitset fast
-path caps the order at 64 vertices.  ``substitute`` and ``random_gallai`` (in
-``constructions``) share one store-level kernel, ``_substitute_store``.
+built from it on the first read of a color class, kept, and shared by all
+detectors, so a graph that is only compared, hashed, serialized or induced
+never builds them.  The bitset fast path caps the order at 64 vertices.
+``substitute`` and ``random_gallai`` (in ``constructions``) share one
+store-level kernel, ``_substitute_store``.
 """
 
 from __future__ import annotations
@@ -164,17 +166,27 @@ class ColoredCompleteGraph:
         self.n = n
         self.k = k
         self._colors = store
-        # Derived per-color adjacency bitsets; the triangular tuple stays
-        # authoritative, these exist so detectors never rescan it.  Only the
-        # colors present get rows: the declared palette is unbounded.
-        masks = {c: [0] * n for c in set(store)}
-        for v in range(1, n):
-            bit_v = 1 << v
-            for u, c in enumerate(store[v * (v - 1) // 2 : v * (v + 1) // 2]):
-                rows = masks[c]
-                rows[u] |= bit_v
-                rows[v] |= 1 << u
-        self._masks = masks
+        self._masks: dict[int, list[int]] | None = None  # built by _rows on first use
+
+    def _rows(self) -> dict[int, list[int]]:
+        """Per-color adjacency bitsets, built on the first read of a class and kept.
+
+        The triangular tuple stays authoritative; these exist so detectors
+        never rescan it.  Only the colors present get rows: the declared
+        palette is unbounded.
+        """
+        masks = self._masks
+        if masks is None:
+            n, store = self.n, self._colors
+            masks = {c: [0] * n for c in set(store)}
+            for v in range(1, n):
+                bit_v = 1 << v
+                for u, c in enumerate(store[v * (v - 1) // 2 : v * (v + 1) // 2]):
+                    rows = masks[c]
+                    rows[u] |= bit_v
+                    rows[v] |= 1 << u
+            self._masks = masks
+        return masks
 
     # -- reads ------------------------------------------------------------
 
@@ -184,17 +196,17 @@ class ColoredCompleteGraph:
         return self._colors[pair_index(u, v)]
 
     def colors_used(self) -> tuple[int, ...]:
-        return tuple(sorted(self._masks))
+        return tuple(sorted(self._rows()))
 
     def class_masks(self, color: int) -> list[int]:
         """Adjacency bitsets of one color class (a copy; rows are ints)."""
         if not 1 <= color <= self.k:
             raise ValueError(f"color {color} outside palette 1..{self.k}")
-        rows = self._masks.get(color)
+        rows = self._rows().get(color)
         return list(rows) if rows else [0] * self.n
 
     def class_mask_row(self, color: int, v: int) -> int:
-        rows = self._masks.get(color)
+        rows = self._rows().get(color)
         return rows[v] if rows else 0
 
     def color_class(self, color: int) -> BitGraph:
@@ -325,8 +337,9 @@ def parse(text: str) -> ColoredCompleteGraph:
     if not text.endswith("\n"):
         raise ColoringParseError("missing trailing newline")
     header: tuple[int, int] | None = None
-    flat: list[int] = []
-    row = 0
+    tokens: list[str] = []  # the data rows' entries in store order
+    lines: list[int] = []  # the line number of each data row
+    error: ColoringParseError | None = None
     n = k = 0
     for ln, raw in enumerate(text.split("\n")[:-1], start=1):
         line = raw.strip()
@@ -345,20 +358,29 @@ def parse(text: str) -> ColoredCompleteGraph:
             if k < 1:
                 raise ColoringParseError(f"palette size {k} must be at least 1", ln)
             header = (n, k)
-            row = 1
             continue
+        row = len(lines) + 1
+        # A bad entry on an earlier row is reported first, so this waits.
         if row >= n:
-            raise ColoringParseError("data after the last expected row", ln)
+            error = ColoringParseError("data after the last expected row", ln)
+            break
         if len(fields) != row:
-            raise ColoringParseError(f"expected {row} entries, got {len(fields)}", ln)
-        try:
-            vals = list(map(int, fields))
-            ok = 1 <= min(vals) and max(vals) <= k
-        except ValueError:
-            ok = False
-        if not ok:
-            # Locate the first bad entry in row order for the error.
-            for j, f in enumerate(fields):
+            error = ColoringParseError(f"expected {row} entries, got {len(fields)}", ln)
+            break
+        tokens += fields
+        lines.append(ln)
+    if header is None:
+        raise ColoringParseError("empty input")
+    # One int() per distinct spelling: a host has few colors and many entries.
+    try:
+        value = {t: int(t) for t in set(tokens)}
+        ok = all(1 <= c <= k for c in value.values())
+    except ValueError:
+        ok = False
+    if not ok:
+        # Locate the first bad entry in row order for the error.
+        for row, ln in enumerate(lines, start=1):
+            for j, f in enumerate(tokens[row * (row - 1) // 2 : row * (row + 1) // 2]):
                 try:
                     c = int(f)
                 except ValueError:
@@ -367,10 +389,8 @@ def parse(text: str) -> ColoredCompleteGraph:
                     raise ColoringParseError(
                         f"color {c} on pair {{{j},{row}}} outside palette 1..{k}", ln
                     )
-        flat += vals
-        row += 1
-    if header is None:
-        raise ColoringParseError("empty input")
-    if row != n:
-        raise ColoringParseError(f"expected {n - 1} data rows, got {row - 1}")
-    return ColoredCompleteGraph(n, k, flat)
+    if error is not None:
+        raise error
+    if len(lines) != n - 1:
+        raise ColoringParseError(f"expected {n - 1} data rows, got {len(lines)}")
+    return ColoredCompleteGraph(n, k, list(map(value.__getitem__, tokens)))

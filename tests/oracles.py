@@ -149,6 +149,19 @@ def first_sequence_bruteforce(
     return grow(())
 
 
+# -- color-class rows pair by pair --------------------------------------------------
+
+
+def class_rows_by_pairs(g: ColoredCompleteGraph) -> dict[int, list[int]]:
+    """Adjacency bitsets of each color present, from ``color_of`` on every ordered pair."""
+    rows: dict[int, list[int]] = {}
+    for v in range(g.n):
+        for u in range(g.n):
+            if u != v:
+                rows.setdefault(g.color_of(u, v), [0] * g.n)[v] |= 1 << u
+    return rows
+
+
 # -- rainbow triangles by triple enumeration ----------------------------------------
 
 

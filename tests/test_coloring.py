@@ -37,7 +37,7 @@ from gallai_lab.errors import (
     SizeLimitExceeded,
 )
 
-from oracles import random_coloring
+from oracles import class_rows_by_pairs, random_coloring
 
 
 def test_pair_index_is_the_triangular_layout():
@@ -99,6 +99,60 @@ def test_build_from_pair_map():
         build(3, 2, {(0, 1): 1})
     with pytest.raises(ValueError):
         build(3, 2, {(0, 1): 1, (1, 0): 2, (0, 2): 1, (1, 2): 1})
+
+
+# Each maker builds a fresh graph on palette k, one way per constructor.
+CLASS_ROW_SOURCES = {
+    "parse": lambda k: parse(serialize(random_gallai(20, k, 3))),
+    "substitute": lambda k: substitute(
+        random_coloring(random.Random(k), 3, k),
+        [random_gallai(5, k, 1), complete_monochromatic(1, k, k), random_gallai(4, k, 2)],
+    ),
+    "induced": lambda k: induced(random_gallai(30, k, 4), VertexSubset(30, 0x2AAA_F0F1)),
+    "relabel": lambda k: relabel(random_gallai(12, k, 5), [(5 * i + 3) % 12 for i in range(12)]),
+    "random_gallai": lambda k: random_gallai(64, k, 6),
+    "build_extremal_odd": lambda k: build_extremal_odd(3, k)[0],
+    "build_ramsey_cycle_lower": lambda k: build_ramsey_cycle_lower(5, 33)[0],
+    "complete_monochromatic": lambda k: complete_monochromatic(7, k, k),
+    "build": lambda k: build(3, k, {(0, 1): 1, (2, 1): k, (0, 2): 1}),
+}
+
+
+@pytest.mark.parametrize("first_read, args", [
+    ("colors_used", ()), ("class_masks", (1,)), ("class_mask_row", (1, 0))])
+@pytest.mark.parametrize("k", [1, 2, 4])
+@pytest.mark.parametrize("source", sorted(CLASS_ROW_SOURCES))
+def test_class_rows_match_a_pair_by_pair_oracle(source, k, first_read, args):
+    g = CLASS_ROW_SOURCES[source](k)
+    expect = class_rows_by_pairs(g)
+    getattr(g, first_read)(*args)  # the rows are built by whichever read comes first
+    _assert_class_rows(g, expect)
+
+
+def test_class_rows_of_2016_distinct_colors():
+    g = ColoredCompleteGraph(64, 3000, range(1, 2017))
+    expect = class_rows_by_pairs(g)
+    assert len(expect) == 2016
+    _assert_class_rows(g, expect)
+
+
+def _assert_class_rows(g: ColoredCompleteGraph, expect: dict[int, list[int]]) -> None:
+    assert g.colors_used() == tuple(sorted(expect))
+    for c in range(1, g.k + 1):
+        rows = expect.get(c, [0] * g.n)
+        assert g.class_masks(c) == rows
+        assert [g.class_mask_row(c, v) for v in range(g.n)] == rows
+
+
+def test_value_reads_never_build_class_rows():
+    read = random_gallai(64, 4, 8)
+    assert read.colors_used() == (1, 2, 3, 4)
+    unread = ColoredCompleteGraph(64, 4, read.edge_colors())
+    assert unread == read and read == unread
+    assert hash(unread) == hash(read)
+    assert serialize(unread, ("c",)) == serialize(read, ("c",))
+    assert induced(unread, VertexSubset(64, 0xFF00)) == induced(read, VertexSubset(64, 0xFF00))
+    assert unread._masks is None
 
 
 def test_colors_used_skips_empty_classes():
@@ -258,6 +312,13 @@ def test_parse_rejects_malformed_input():
             parse(text)
 
 
+def test_parse_reads_every_spelling_int_accepts():
+    g = parse("4 300\n01\n+2 ２\n1_0 256 300\n")
+    assert g.edge_colors() == (1, 2, 2, 10, 256, 300)
+    assert parse("2 1000000000\n1000000000\n").edge_colors() == (10**9,)
+    assert parse(serialize(g)) == g
+
+
 def test_parse_error_carries_line_number():
     try:
         parse("3 2\n1\n2 9\n")
@@ -306,6 +367,22 @@ def test_serialize_is_pinned_on_64_vertex_hosts(kind, a, b):
     ("4 3\n1\n2 3\ny 9 2\n", "entry 0 is not an integer", 4),
     # comments and blank lines still count toward the line number
     ("# c\n4 3\n1\n\n2 3\n1 2 4\n", "color 4 on pair {2,3} outside palette 1..3", 6),
+    # a non-integer after a valid row; bad colors on two lines name the first
+    ("4 3\n1\n2 3\n1 2 1.0\n", "entry 2 is not an integer", 4),
+    ("4 3\n1\n2 5\n1 2 0\n", "color 5 on pair {1,2} outside palette 1..3", 3),
+    ("4 3\n1\n2 3\n9 2 7\n", "color 9 on pair {0,3} outside palette 1..3", 4),
+    # the value int() reads is the one named, in any spelling it accepts
+    ("3 2\n1\n1 03\n", "color 3 on pair {1,2} outside palette 1..2", 3),
+    ("3 2\n1\n1 ３\n", "color 3 on pair {1,2} outside palette 1..2", 3),
+    ("3 9\n1\n1 1_0\n", "color 10 on pair {1,2} outside palette 1..9", 3),
+    ("3 255\n1\n256 1\n", "color 256 on pair {0,2} outside palette 1..255", 3),
+    # a bad entry comes before a later row's shape error
+    ("4 3\n1\n2 x\n1 1\n", "entry 1 is not an integer", 3),
+    ("3 3\n1\n2 4\n1 1 1\n", "color 4 on pair {1,2} outside palette 1..3", 3),
+    ("4 3\n1\n1 4\n", "color 4 on pair {1,2} outside palette 1..3", 3),
+    # and a shape error before any bad entry is named as before
+    ("4 3\n1\n2 2 2\n1 x 1\n", "expected 2 entries, got 3", 3),
+    ("3 3\n1\n2 2\n1 x\n", "data after the last expected row", 4),
 ])
 def test_parse_error_names_the_first_bad_entry(text, message, line):
     with pytest.raises(ColoringParseError) as info:

@@ -23,7 +23,7 @@ from gallai_lab.coloring import (
     serialize,
     substitute,
 )
-from gallai_lab.constructions import gallai_ramsey_formula, ramsey_formula
+from gallai_lab.constructions import build_ramsey_cycle_lower, gallai_ramsey_formula, ramsey_formula
 from gallai_lab.detectors import _PathEnds, find_mono_cycle, find_rainbow_triangle
 from gallai_lab.errors import BadParameters, OverLimit
 from gallai_lab.search import (
@@ -908,14 +908,28 @@ def test_search_recursion_reaches_order_sixty_four():
 
 
 def test_one_cycle_test_cannot_outrun_the_budget():
-    # R(C5,C34): every order up to 33 has an avoider, found in milliseconds;
-    # at 34 the C34 test goes live, and one uncapped walk runs for over a minute
+    # R(C4,C34): every order up to 33 has an avoider, found in milliseconds;
+    # at 34 the C34 test goes live, and one uncapped walk runs for over a
+    # minute.  An even m has no construction, so the search runs
     t0 = time.process_time()
-    rep = search_ramsey(5, 34, budget=200_000)
+    rep = search_ramsey(4, 34, budget=200_000)
     assert time.process_time() - t0 < 30
     assert (rep.value, rep.lower, rep.upper, rep.witness.n) == (None, 34, None, 33)
-    assert rep.params == {"m": 5, "n": 34, "budget": 200_000}
+    assert rep.params == {"m": 4, "n": 34, "budget": 200_000}
+    assert rep.stats.steps <= 200_000
     assert verify_certificate(rep).valid
+
+
+def test_search_ramsey_past_sixty_four_vertices_takes_two_cliques_of_32():
+    # 2n - 2 > 64: two K_32 in color 2 joined in color 1 hold no C_n in color
+    # 2 and no odd cycle in color 1, so they stand for every order up to 64
+    two_cliques, _ = build_ramsey_cycle_lower(5, 33)
+    for m, n in [(5, 34), (35, 40)]:
+        rep = search_ramsey(m, n, budget=200_000)
+        assert (rep.value, rep.lower, rep.upper) == (None, 65, None)
+        assert (rep.stats.nodes, rep.stats.steps) == (0, 0)
+        assert rep.witness == two_cliques
+        assert verify_certificate(rep).valid
 
 
 def test_a_node_weighs_its_order_times_its_colors():
