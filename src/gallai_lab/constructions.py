@@ -113,8 +113,8 @@ def build_ramsey_cycle_lower(m: int, n: int) -> tuple[ColoredCompleteGraph, Cons
     For odd m the bipartite color-1 class has no C_m and the color-2
     components are one vertex short of C_n, so K_{2n-2} avoids both.
     """
-    if m % 2 == 0 or m < 5:
-        raise BadParameters(f"m {m} must be odd and at least 5")
+    if m % 2 == 0 or m < 3:
+        raise BadParameters(f"m {m} must be odd and at least 3")
     if n < m:
         raise BadParameters(f"n {n} must be at least m = {m}")
     order = 2 * n - 2

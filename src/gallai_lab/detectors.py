@@ -430,16 +430,40 @@ def _check_color(g: ColoredCompleteGraph, color: int) -> None:
         raise ValueError(f"color {color} outside palette 1..{g.k}")
 
 
+def _has_odd_cycle(masks: Sequence[int]) -> bool:
+    """Does the graph with these adjacency rows hold an odd cycle?
+
+    A breadth-first search by layers: an edge joins two vertices of one
+    layer or of two consecutive layers, and the graph holds an odd cycle
+    exactly when some layer holds an edge.
+    """
+    left = (1 << len(masks)) - 1
+    while left:
+        layer = seen = left & -left
+        while layer:
+            reach = row_union(masks, layer)
+            if reach & layer:
+                return True
+            layer = reach & ~seen
+            seen |= layer
+        left &= ~seen
+    return False
+
+
 def find_mono_cycle(g: ColoredCompleteGraph, color: int, m: int) -> Witness | None:
     """A cycle of exactly m vertices inside one color class, or None.
 
     Anchor s is the cycle's least vertex: a path of m - 1 edges from s through
     the vertices above it, back to a neighbor of s, so s is at most n - m.
+    For odd m, a class with no odd cycle, such as the bipartite classes of
+    the extremal colorings, is cleared by one breadth-first search.
     """
     _check_color(g, color)
     if m < 3:
         raise ValueError(f"cycle order {m} must be at least 3")
     masks = g.class_masks(color)
+    if m % 2 and not _has_odd_cycle(masks):
+        return None
     full = (1 << g.n) - 1
     for s in range(g.n - m + 1):
         upper = full & ~((1 << (s + 1)) - 1)

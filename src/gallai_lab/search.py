@@ -735,14 +735,14 @@ def _run_threshold(
 def search_ramsey(m: int, n: int, budget: int | None = DEFAULT_BUDGET) -> SearchReport:
     """The least order whose 2-colorings all contain a C_m in color 1 or C_n in color 2.
 
-    For odd 5 <= m <= n the construction is two K_{n-1} in color 2 joined in
+    For odd 3 <= m <= n the construction is two K_{n-1} in color 2 joined in
     color 1.  Past 2n - 2 = 64 it is the 64-vertex one: its color-2 cliques
     have 32 vertices, too few for any C_n with n >= 33.
     """
     if m < 3 or n < 3:
         raise BadParameters(f"cycle orders m={m}, n={n} must be at least 3")
     construction = None
-    if m % 2 == 1 and 5 <= m <= n:
+    if m % 2 == 1 and m <= n:
         # the coloring depends on n alone; capping both at 33 keeps m odd and m <= n
         half = MAX_VERTICES // 2 + 1
         construction, _ = build_ramsey_cycle_lower(min(m, half), min(n, half))

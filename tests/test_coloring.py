@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+from gallai_lab import coloring
 from gallai_lab.coloring import (
     MAX_VERTICES,
     BitGraph,
@@ -125,7 +126,7 @@ CLASS_ROW_SOURCES = {
 def test_class_rows_match_a_pair_by_pair_oracle(source, k, first_read, args):
     g = CLASS_ROW_SOURCES[source](k)
     expect = class_rows_by_pairs(g)
-    getattr(g, first_read)(*args)  # the rows are built by whichever read comes first
+    getattr(g, first_read)(*args)  # a class read builds the rows; colors_used does not
     _assert_class_rows(g, expect)
 
 
@@ -134,6 +135,57 @@ def test_class_rows_of_2016_distinct_colors():
     expect = class_rows_by_pairs(g)
     assert len(expect) == 2016
     _assert_class_rows(g, expect)
+
+
+def _store_of(n: int, colors: list[int], seed: int) -> list[int]:
+    """A flat store on n vertices using every color in ``colors``, in seeded order."""
+    pairs = n * (n - 1) // 2
+    store = [colors[i % len(colors)] for i in range(pairs)] if colors else []
+    random.Random(seed).shuffle(store)
+    return store
+
+
+@pytest.mark.parametrize("n, colors", [
+    (1, []),
+    (2, [5]),
+    (3, [1, 2]),
+    (64, [7, 300, 1000]),  # values past a byte, few of them: ranked codes
+    (17, [256, 4000]),
+    (64, list(range(1, 256))),  # exactly 255 distinct colors, the most a byte holds
+    (64, list(range(1000, 1255))),
+])
+def test_both_row_kernels_match_the_pair_oracle(n, colors):
+    g = ColoredCompleteGraph(n, max(colors, default=1), _store_of(n, colors, n))
+    expect = class_rows_by_pairs(g)
+    used = g.colors_used()
+    assert used == tuple(sorted(colors))
+    for kernel in (coloring._class_rows_by_pairs, coloring._class_rows_by_bytes):
+        assert kernel(n, g.edge_colors(), used) == expect
+    _assert_class_rows(g, expect)
+
+
+@pytest.mark.parametrize("n, colors, kernel", [
+    # the bytes win while 3 * colors <= n - 11
+    (64, 17, "_class_rows_by_bytes"),
+    (64, 18, "_class_rows_by_pairs"),
+    (41, 10, "_class_rows_by_bytes"),
+    (41, 11, "_class_rows_by_pairs"),
+    (14, 1, "_class_rows_by_bytes"),
+    (14, 2, "_class_rows_by_pairs"),
+    (13, 1, "_class_rows_by_pairs"),
+    (1, 0, "_class_rows_by_pairs"),
+    (64, 256, "_class_rows_by_pairs"),  # more colors than a byte holds
+])
+def test_row_build_picks_its_kernel_from_the_colors_and_the_order(monkeypatch, n, colors, kernel):
+    called = []
+    for name in ("_class_rows_by_bytes", "_class_rows_by_pairs"):
+        real = getattr(coloring, name)
+        monkeypatch.setattr(coloring, name, lambda *a, name=name, real=real: called.append(name) or real(*a))
+    palette = [3 * c + 250 for c in range(colors)]
+    g = ColoredCompleteGraph(n, max(palette, default=1), _store_of(n, palette, colors))
+    expect = class_rows_by_pairs(g)
+    _assert_class_rows(g, expect)
+    assert called == [kernel]
 
 
 def _assert_class_rows(g: ColoredCompleteGraph, expect: dict[int, list[int]]) -> None:
@@ -147,6 +199,8 @@ def _assert_class_rows(g: ColoredCompleteGraph, expect: dict[int, list[int]]) ->
 def test_value_reads_never_build_class_rows():
     read = random_gallai(64, 4, 8)
     assert read.colors_used() == (1, 2, 3, 4)
+    assert read._masks is None
+    read.class_mask_row(1, 0)
     unread = ColoredCompleteGraph(64, 4, read.edge_colors())
     assert unread == read and read == unread
     assert hash(unread) == hash(read)

@@ -88,7 +88,7 @@ def test_extremal_odd_rejects_bad_parameters():
 
 
 def test_ramsey_cycle_lower_shape_and_cleanliness():
-    for m, n in [(5, 5), (5, 7), (7, 8)]:
+    for m, n in [(3, 3), (3, 6), (5, 5), (5, 7), (7, 8)]:
         g, recipe = build_ramsey_cycle_lower(m, n)
         assert g.n == 2 * n - 2
         assert check_recipe(g, recipe) == []
@@ -100,7 +100,7 @@ def test_ramsey_cycle_lower_rejects_bad_parameters():
     with pytest.raises(BadParameters):
         build_ramsey_cycle_lower(4, 6)  # m must be odd
     with pytest.raises(BadParameters):
-        build_ramsey_cycle_lower(3, 5)
+        build_ramsey_cycle_lower(1, 5)
     with pytest.raises(BadParameters):
         build_ramsey_cycle_lower(7, 5)  # needs n >= m
     with pytest.raises(BadParameters):

@@ -18,7 +18,7 @@ from gallai_lab.coloring import (
     relabel,
     substitute,
 )
-from gallai_lab.constructions import build_extremal_odd, random_gallai
+from gallai_lab.constructions import build_extremal_odd, build_ramsey_cycle_lower, random_gallai
 from gallai_lab.detectors import (
     HAMILTON_CYCLE,
     MONO_CYCLE,
@@ -397,6 +397,53 @@ def test_mono_cycle_odd_length_in_bipartite_class_is_fast_no():
     assert find_mono_cycle(g, 1, 9) is None
     w = find_mono_cycle(g, 1, 10)
     assert w is not None and validate_witness(g, w)
+
+
+def _bipartite_coloring(rng, n: int, p: float) -> ColoredCompleteGraph:
+    """Color 1 is a random subgraph of a random complete bipartite graph, color 2 the rest."""
+    side = [rng.random() < 0.5 for _ in range(n)]
+    flat = [1 if side[u] != side[v] and rng.random() < p else 2 for v in range(n) for u in range(v)]
+    return ColoredCompleteGraph(n, 2, flat)
+
+
+def test_odd_cycles_in_a_class_without_one_never_walk(monkeypatch):
+    # a breadth-first search clears a class with no odd cycle for every odd
+    # m: the extremal colorings' later colors, the two cliques' joining color
+    # and random bipartite classes
+    walks = []
+    real = _PathEnds.closes
+    monkeypatch.setattr(_PathEnds, "closes", lambda *a: walks.append(a) or real(*a))
+    hosts = [(build_extremal_odd(2, 5)[0], range(2, 6)), (build_extremal_odd(4, 4)[0], range(2, 5))]
+    hosts.append((build_ramsey_cycle_lower(3, 33)[0], [1]))
+    rng = random.Random(31)
+    hosts += [(_bipartite_coloring(rng, rng.randint(6, 40), rng.uniform(0.3, 1)), [1]) for _ in range(30)]
+    for g, colors in hosts:
+        for c in colors:
+            for m in range(3, g.n + 1, 2):
+                assert find_mono_cycle(g, c, m) is None
+    assert walks == []
+    # an even m still walks, and finds the C_4 of a complete bipartite class
+    w = find_mono_cycle(hosts[0][0], 2, 4)
+    assert w is not None and validate_witness(hosts[0][0], w)
+    assert walks
+
+
+def test_mono_cycle_matches_subset_dp_on_bipartite_and_random_classes():
+    rng = random.Random(32)
+    seen = set()
+    for i in range(240):
+        n = rng.randint(3, 11)
+        g = _bipartite_coloring(rng, n, 0.8) if i % 2 else random_coloring(rng, n, 2)
+        for c in (1, 2):
+            masks = g.class_masks(c)
+            expect = {m: cycle_exists_dp(masks, n, m) for m in range(3, 10)}
+            assert detectors._has_odd_cycle(masks) == any(expect[m] for m in range(3, 10, 2))
+            for m in range(3, 10):
+                w = find_mono_cycle(g, c, m)
+                assert (w is not None) == expect[m], (g.edge_colors(), c, m)
+                assert w is None or (validate_witness(g, w) and len(w.vertices) == m)
+                seen.add((m % 2, expect[m]))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
 
 
 def test_mono_cycle_witness_is_canonical_and_deterministic():

@@ -924,7 +924,7 @@ def test_search_ramsey_past_sixty_four_vertices_takes_two_cliques_of_32():
     # 2n - 2 > 64: two K_32 in color 2 joined in color 1 hold no C_n in color
     # 2 and no odd cycle in color 1, so they stand for every order up to 64
     two_cliques, _ = build_ramsey_cycle_lower(5, 33)
-    for m, n in [(5, 34), (35, 40)]:
+    for m, n in [(3, 34), (5, 34), (35, 40)]:
         rep = search_ramsey(m, n, budget=200_000)
         assert (rep.value, rep.lower, rep.upper) == (None, 65, None)
         assert (rep.stats.nodes, rep.stats.steps) == (0, 0)
@@ -963,6 +963,11 @@ def test_bad_problem_parameters():
 
 def test_search_ramsey_small_exact_values():
     assert search_ramsey(3, 3).value == 6
+    # for odd m the two cliques are as deep as the search goes: they are the witness
+    rep = search_ramsey(3, 5)
+    assert (rep.value, rep.lower, rep.upper) == (9, 9, 9)
+    assert rep.witness == build_ramsey_cycle_lower(3, 5)[0]
+    assert verify_certificate(rep).valid
     assert search_ramsey(4, 4).value == 6
     rep = search_ramsey(4, 5)
     assert rep.value == 7 == rep.lower == rep.upper
