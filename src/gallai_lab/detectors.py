@@ -258,6 +258,20 @@ def _gallai_blocks(
     in color c where its block's least vertex does, and then every edge
     between two blocks has the color of the edge between their least
     vertices.
+
+    Split lemma: on any coloring, the sets that split s (blocks returned)
+    are few.  (1) At most one single color splits s.  If c does, every
+    edge between its blocks has color c, so the c-edges connect s, and a
+    set without c leaves them outside: one component.  (2) So when c splits
+    s, every other set that splits it is a pair {c, d}, whose blocks refine
+    c's (fewer colors lie outside it): as many blocks or more.  (3) When no
+    single color splits s, at most one pair does, and both its colors meet
+    s's least vertex x inside s.  Take a pair {c, d} that splits s.  Were
+    the blocks' d-joins disconnected, the components of the colors other
+    than c would be unions of blocks along them, and c alone would split s;
+    so the d-joins connect the blocks, and so do the c-joins.  Each color
+    then connects s, any set that splits s contains both, and x's block is
+    joined to another block in c and to another in d.
     """
     first = rows[cand[0]]
     both = first if len(cand) == 1 else list(map(operator.or_, first, rows[cand[1]]))
@@ -332,14 +346,15 @@ def _first_rainbow(
     color of the set, or, with two colors, two of them would have one.  So
     it lies inside a block, and the least of the blocks' first triangles is
     s's.  Only sets of colors that meet s's least vertex x inside s can
-    split it, since x sees every other block in the set's colors.  With no
-    rainbow triangle in s, some set splits it (Gallai 1967), and two colors
-    are needed only when each of them alone connects the blocks, so that x
-    sees both.  So when no set splits s, s holds a rainbow triangle, and the
-    pair scan finds the first one.  When no single color splits s, x is
-    scanned before pairs of colors are tried: on a coloring far from Gallai,
-    such as a uniform random one, the first triangle lies on x.  A set that
-    uses at most two colors holds no rainbow triangle at all.
+    split it, since x sees every other block in the set's colors; when no
+    single color splits s, a pair that does has both colors at x (the split
+    lemma in ``_gallai_blocks``).  With no rainbow triangle in s, some set
+    splits it (Gallai 1967).  So when no set splits s, s holds a rainbow
+    triangle, and the pair scan finds the first one.  When no single color
+    splits s, x is scanned before pairs of colors are tried: on a coloring
+    far from Gallai, such as a uniform random one, the first triangle lies
+    on x.  A set that uses at most two colors holds no rainbow triangle at
+    all.
     """
     x = s & -s
     at_x = [d for d, r in rows.items() if r[x.bit_length() - 1] & s]

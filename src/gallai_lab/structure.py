@@ -2,24 +2,25 @@
 
 A coloring with no rainbow triangle always splits into at least two parts so
 that each pair of parts is joined monochromatically and at most two colors
-appear between parts.  ``gallai_partition`` finds such a split by trying each
-candidate between-color set and contracting the components everything else
-spans; with ``coarsest=True`` it then greedily merges parts while the split
-stays valid.
+appear between parts (Gallai 1967; Gyarfas & Simonyi 2004).
+``gallai_partition`` takes the one split that the detectors' helpers find:
+the components that the colors outside a between-color set span, for the
+first set, among those meeting vertex 0, that splits the vertex set
+(``detectors._first_split``).  By the split lemma in
+``detectors._gallai_blocks`` no other set needs trying: a single color that
+splits is the only one, and every pair that splits holds it and gives as
+many blocks or more; with no single color, only one pair splits.  With no
+rainbow triangle any two blocks are joined in one color of the set, so the
+split is valid by construction; it is validated once, as a safety net.
 
-The components come from ``detectors._gallai_blocks``, which the rainbow
-scan splits with too.  With no rainbow triangle, any two of them are joined
-in one color of the set (``_gallai_blocks`` says why), so no two of them
-ever need merging and each candidate split is valid by construction.  The
-loop compares candidates by part count alone and stops at the first split
-into two parts, the fewest there can be.  Only the winner is assembled, and
-it is validated once, as a safety net.
+With ``coarsest=True`` twin blocks are then merged (``_merge_twins``): two
+blocks joined in one color that every other block sees in one color too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Sequence
 
 from .coloring import (
@@ -35,7 +36,7 @@ from .detectors import (
     MONO_CYCLE,
     Witness,
     _class_rows,
-    _gallai_blocks,
+    _first_split,
     _rainbow_triangle,
     dirac_hamiltonian,
 )
@@ -142,30 +143,48 @@ def _block_pair_color(colors: Sequence[int], bi: int, bj: int) -> int:
     return colors[pair_index(u, v)]
 
 
-def _greedy_merge(colors: Sequence[int], blocks: list[int]) -> list[int]:
-    """Merge block pairs while the split stays valid (never below 2 parts).
+def _merge_twins(first: Sequence[int], blocks: list[int]) -> list[int]:
+    """Merge twin blocks, a round at a time, until none are left (never below 2 parts).
 
-    Blocks come sorted by least vertex and stay so.  A pair merges only when
-    every other block sees both in one color, so the merged block keeps the
-    first one's place and its row of the pair-color table, and the second
-    one's row and column are dropped.
+    Blocks come sorted by least vertex and stay so; they are joined pairwise
+    in the split's between-colors, and ``first`` holds the adjacency rows of
+    one of them.  A block's row of block-pair colors is then the bitset of
+    the least vertices it sees in that color.  Blocks i and j joined in
+    color c are twins, every other block seeing both in one color, exactly
+    when their rows agree once each reads c at its own place: with its own
+    bit set for the color of ``first``, clear for the other.  So each block
+    has one key per color, and the blocks sharing a key are a twin class.
+
+    Twinhood is an equivalence (i ~ j and j ~ k give that i, j and k are
+    joined pairwise in one color), and merging a twin pair keeps every
+    other twin pair a twin pair, the merged block standing for its members.
+    So each round merges every class at once, and the rounds end at the
+    blocks that merging one twin pair at a time reaches, in any order, as
+    long as no merge takes three twins to two.  That needs a class holding
+    every block, which only a single between-color gives: with two, both
+    colors connect the blocks and stay connected as modules merge.  Such a
+    class keeps its last block apart, as merging the first pair over and
+    over does.  A round costs O(t) bitset operations on t blocks.
     """
-    t = len(blocks)
-    pc = [[0] * t for _ in range(t)]
-    for j in range(1, t):
-        for i in range(j):
-            pc[i][j] = pc[j][i] = _block_pair_color(colors, blocks[i], blocks[j])
     while len(blocks) > 2:
-        t = len(blocks)
-        pick = next(((i, j) for i, j in combinations(range(t), 2)
-                     if all(pc[i][z] == pc[j][z] for z in range(t) if z != i and z != j)), None)
-        if pick is None:
+        lows = 0
+        for b in blocks:
+            lows |= b & -b
+        keys = []
+        classes: dict[int, int] = {}
+        for b in blocks:
+            low = b & -b
+            row = first[low.bit_length() - 1] & lows
+            keys.append((row | low, row))
+            for key in keys[-1]:
+                classes[key] = classes.get(key, 0) | b
+        # a block's class is the larger of its two keys' unions: the other is the block
+        merged = list(dict.fromkeys(max(classes[k], classes[o]) for k, o in keys))
+        if len(merged) == 1:
+            return [merged[0] ^ blocks[-1], blocks[-1]]
+        if len(merged) == len(blocks):
             break
-        i, j = pick
-        blocks[i] |= blocks.pop(j)
-        del pc[j]
-        for row in pc:
-            del row[j]
+        blocks = merged
     return blocks
 
 
@@ -184,10 +203,20 @@ def _assemble(g: ColoredCompleteGraph, colors: Sequence[int], blocks: list[int])
 def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiPartition:
     """A valid partition of a rainbow-triangle-free coloring.
 
-    Tries the candidate between-color sets (singletons first, then pairs,
-    ascending) and keeps the split with the fewest parts, the first on ties;
-    a split into two parts ends the search.  With ``coarsest=True`` no
-    further pair of returned parts can be merged without breaking validity.
+    The blocks of the first between-color set, among the colors meeting
+    vertex 0, that splits the vertex set: single colors first, then pairs
+    (the order ``detectors._first_rainbow`` tries them in).  By the split
+    lemma in ``detectors._gallai_blocks`` no other set splits it into fewer
+    blocks.  With ``coarsest=True`` twin blocks are merged until no further
+    pair of returned parts can be merged without breaking validity.
+
+    That is a local fixpoint, not always the fewest parts.  A single
+    between-color gives two parts, the fewest.  A pair gives blocks whose
+    two-colored quotient both colors connect; every part then lies inside
+    one of the quotient's maximal modules, and those modules are the fewest
+    parts.  Twin merging reaches a module exactly when twins merge its
+    blocks down to one, and it stops early on a module whose blocks merge
+    down to a twin-free quotient, such as a P4 in either color.
     """
     if g.n < 2:
         raise ValueError(f"partition needs at least 2 vertices, got {g.n}")
@@ -196,22 +225,12 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     if rw is not None:
         raise NotGallai(rw)
     colors = g.edge_colors()
-    used = tuple(rows)
-    everyone = (1 << g.n) - 1
-    candidates = [(c,) for c in used] + list(combinations(used, 2))
-    best: list[int] | None = None
-    for cand in candidates:
-        blocks = _gallai_blocks(rows, cand, everyone)
-        if blocks is None:
-            continue
-        if coarsest:
-            blocks = _greedy_merge(colors, blocks)
-        if best is None or len(blocks) < len(best):
-            best = blocks
-            if len(best) == 2:
-                break
-    assert best is not None, "rainbow-triangle-free colorings always admit a partition"
-    p = _assemble(g, colors, best)
+    at_0 = [c for c, r in rows.items() if r[0]]
+    blocks = _first_split(rows, chain(((c,) for c in at_0), combinations(at_0, 2)), (1 << g.n) - 1)
+    assert blocks is not None, "rainbow-triangle-free colorings always admit a partition"
+    if coarsest:
+        blocks = _merge_twins(rows[_block_pair_color(colors, blocks[0], blocks[1])], blocks)
+    p = _assemble(g, colors, blocks)
     rep = validate_partition(g, p)
     if not rep.ok:
         raise InvalidPartition(rep)

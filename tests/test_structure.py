@@ -138,9 +138,66 @@ def test_partition_matches_the_definitional_reference():
     hosts = [random_gallai(rng.randint(2, 40), rng.randint(1, 6), rng.randrange(10**6))
              for _ in range(300)]
     hosts += _substitutions(rng, 100)
+    # two-color roots with many blocks: uniform 2-colorings are mostly prime
+    hosts += [random_coloring(rng, rng.randint(2, 16), 2) for _ in range(100)]
+    wide = random_gallai(64, 2, 6)
+    hosts.append(wide)
+    # uniform colorings in 3-5 colors, nearly all with a rainbow triangle
+    hosts += [random_coloring(rng, rng.randint(3, 12), rng.randint(3, 5)) for _ in range(100)]
+    rainbow = 0
     for g in hosts:
+        w = find_rainbow_triangle(g)
         for coarsest in (False, True):
-            assert gallai_partition(g, coarsest) == gallai_partition_reference(g, coarsest)
+            if w is None:
+                assert gallai_partition(g, coarsest) == gallai_partition_reference(g, coarsest)
+            else:
+                with pytest.raises(NotGallai) as info:
+                    gallai_partition(g, coarsest)
+                assert info.value.witness == w
+        rainbow += w is not None
+    assert rainbow >= 90
+    assert len(gallai_partition(wide).parts) == 64
+    coarse = gallai_partition(wide, coarsest=True)
+    assert len(coarse.parts) == 8 and coarse.between_colors == (1, 2)
+
+
+def test_split_lemma_on_any_coloring_and_vertex_set():
+    # At most one single color splits s; if c does, every other set that
+    # splits s is a pair holding c, with as many blocks or more; if none
+    # does, at most one pair splits s, and both its colors meet s's least
+    # vertex inside s.  gallai_partition tries only the first such set.
+    rng = random.Random(24)
+    pair_roots = 0
+    for trial in range(400):
+        n = rng.randint(2, 20)
+        k = rng.randint(2, 5)
+        if trial % 2:
+            g = random_gallai(n, k, rng.randrange(10**6))
+        else:
+            g = random_coloring(rng, n, k)
+        s = (1 << n) - 1 if trial % 4 < 2 else rng.randrange(1, 1 << n)
+        rows = _rows(g)
+        x = (s & -s).bit_length() - 1
+        at_x = {c for c in rows if rows[c][x] & s}
+        used = g.colors_used()
+        splits = {}
+        for cand in [(c,) for c in used] + list(itertools.combinations(used, 2)):
+            blocks = _gallai_blocks(rows, cand, s)
+            if blocks is not None:
+                splits[cand] = blocks
+                assert at_x & set(cand), (g.edge_colors(), cand, s)
+        singles = [cand for cand in splits if len(cand) == 1]
+        assert len(singles) <= 1
+        if singles:
+            (c,) = singles[0]
+            for cand, blocks in splits.items():
+                assert c in cand and len(blocks) >= len(splits[singles[0]])
+        else:
+            assert len(splits) <= 1
+            for cand in splits:
+                assert set(cand) <= at_x
+                pair_roots += 1
+    assert pair_roots >= 20
 
 
 def _rows(g: ColoredCompleteGraph) -> dict:
@@ -309,8 +366,9 @@ def test_coarsest_matches_set_partition_oracle_or_is_logged():
         assert best is not None
         if len(p.parts) != best:
             disagreements.append((g, len(p.parts), best))
-    # the greedy merge promises a local fixpoint, not the global minimum;
-    # record how often the gap shows up at this scale
+    # twin merging promises a local fixpoint, not the global minimum: it
+    # stops early on a module of the blocks whose twin-merged quotient is
+    # twin-free, such as a P4; record how often the gap shows up at this scale
     rate = len(disagreements) / 60
     assert rate <= 0.2, f"merge heuristic missed the global optimum too often: {rate}"
 
