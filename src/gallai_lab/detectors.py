@@ -17,10 +17,11 @@ table counts its walk on a ``_StepMeter``, which only the search caps.
 The rainbow-triangle scan recurses into Gallai splits.  If the colors
 outside a set of one or two colors break a vertex set into blocks joined
 pairwise in one color, every rainbow triangle in it lies inside one block
-(Gallai 1967; Gyarfas & Simonyi 2004).  The split helper,
-``_gallai_blocks``, is the one that ``structure.gallai_partition`` uses too.
-A vertex set that no such set splits holds a rainbow triangle, and only
-there does the scan fall back to a bitset test per vertex pair.
+(Gallai 1967; Gyarfas & Simonyi 2004).  The scan, ``_first_rainbow``,
+also returns the split it found for the vertex set it was given, and
+``structure.gallai_partition`` takes its root split from there.  A vertex
+set that no such set splits holds a rainbow triangle, and only there does
+the scan fall back to a bitset test per vertex pair.
 
 ``check``, ``check_recipe`` and the certificate checks share one sweep,
 ``forbidden_structures``: it validates a whole claim before it scans, and it
@@ -337,47 +338,61 @@ def _two_colored(rows: Mapping[int, Sequence[int]], palette: Sequence[int], s: i
 
 
 def _first_rainbow(
-    rows: Mapping[int, Sequence[int]], colors: Sequence[int], s: int
-) -> tuple[int, int, int] | None:
-    """The lexicographically first rainbow triangle inside s, or None.
+    rows: Mapping[int, Sequence[int]],
+    colors: Sequence[int],
+    s: int,
+    at_x: Sequence[int] | None = None,
+) -> tuple[tuple[int, int, int] | None, list[int] | None]:
+    """The lexicographically first rainbow triangle inside s, or None, and s's split.
 
-    When a between-color set splits s (``_gallai_blocks``), no rainbow
-    triangle meets two blocks: its edges between blocks would have one
-    color of the set, or, with two colors, two of them would have one.  So
-    it lies inside a block, and the least of the blocks' first triangles is
-    s's.  Only sets of colors that meet s's least vertex x inside s can
-    split it, since x sees every other block in the set's colors; when no
-    single color splits s, a pair that does has both colors at x (the split
-    lemma in ``_gallai_blocks``).  With no rainbow triangle in s, some set
-    splits it (Gallai 1967).  So when no set splits s, s holds a rainbow
-    triangle, and the pair scan finds the first one.  When no single color
-    splits s, x is scanned before pairs of colors are tried: on a coloring
-    far from Gallai, such as a uniform random one, the first triangle lies
-    on x.  A set that uses at most two colors holds no rainbow triangle at
-    all.
+    The split is the blocks of the first between-color set that splits s
+    (``_gallai_blocks``), in the order tried: each color meeting s's least
+    vertex x inside s, then each pair of them.  ``at_x`` lists those colors
+    when the caller has them.  The split is None when a triangle on x turns
+    up before pairs are tried, or when no set splits s, which then holds a
+    rainbow triangle or is one vertex; so s always gets its split when it
+    holds no rainbow triangle, and ``structure.gallai_partition`` reads it.
+
+    When a between-color set splits s, no rainbow triangle meets two
+    blocks: its edges between blocks would have one color of the set, or,
+    with two colors, two of them would have one.  So it lies inside a
+    block, and the least of the blocks' first triangles is s's.  Only sets
+    of colors that meet x inside s can split it, since x sees every other
+    block in the set's colors; when no single color splits s, a pair that
+    does has both colors at x (the split lemma in ``_gallai_blocks``).
+    With no rainbow triangle in s, some set splits it (Gallai 1967).  So
+    when no set splits s, s holds a rainbow triangle, and the pair scan
+    finds the first one.  When no single color splits s, x is scanned
+    before pairs of colors are tried: on a coloring far from Gallai, such
+    as a uniform random one, the first triangle lies on x.  A block that
+    uses at most two colors holds no rainbow triangle at all and is not
+    entered.
     """
     x = s & -s
-    at_x = [d for d, r in rows.items() if r[x.bit_length() - 1] & s]
-    if len(at_x) <= 2 and _two_colored(rows, at_x, s):
-        return None
+    if at_x is None:
+        at_x = [d for d, r in rows.items() if r[x.bit_length() - 1] & s]
     blocks = _first_split(rows, ((c,) for c in at_x), s)
     if blocks is None:
         found = _pair_scan(rows, colors, s, x)
         if found is not None:
-            return found
+            return found, None
         blocks = _first_split(rows, itertools.combinations(at_x, 2), s)
         if blocks is None:
-            return _pair_scan(rows, colors, s, s ^ x)
+            return _pair_scan(rows, colors, s, s ^ x), None
     best = None
     for b in blocks:
         if b.bit_count() < 3:
             continue
-        if best is not None and best[0] < (b & -b).bit_length() - 1:
+        y = (b & -b).bit_length() - 1
+        if best is not None and best[0] < y:
             break
-        found = _first_rainbow(rows, colors, b)
+        at_y = [d for d, r in rows.items() if r[y] & b]
+        if len(at_y) <= 2 and _two_colored(rows, at_y, b):
+            continue
+        found = _first_rainbow(rows, colors, b, at_y)[0]
         if found is not None and (best is None or found < best):
             best = found
-    return best
+    return best, blocks
 
 
 def _pair_scan(
@@ -415,19 +430,6 @@ def _pair_scan(
     return None
 
 
-def _class_rows(g: ColoredCompleteGraph) -> dict[int, list[int]]:
-    """The adjacency bitsets of each color present, ascending (k is unbounded)."""
-    return {d: g.class_masks(d) for d in g.colors_used()}
-
-
-def _rainbow_triangle(g: ColoredCompleteGraph, rows: Mapping[int, Sequence[int]]) -> Witness | None:
-    """``find_rainbow_triangle`` on rows already built by ``_class_rows``."""
-    if len(rows) < 3:
-        return None
-    found = _first_rainbow(rows, g.edge_colors(), (1 << g.n) - 1)
-    return None if found is None else Witness(RAINBOW_TRIANGLE, found)
-
-
 def find_rainbow_triangle(g: ColoredCompleteGraph) -> Witness | None:
     """First triangle (lex order) whose three edges have three distinct colors.
 
@@ -435,9 +437,14 @@ def find_rainbow_triangle(g: ColoredCompleteGraph) -> Witness | None:
     confines every rainbow triangle to one block, and only a vertex set
     that no between-color set splits, which then holds a rainbow triangle,
     falls back to a bitset test per pair.  So a coloring with no rainbow
-    triangle is cleared without any pair scan.
+    triangle is cleared without any pair scan.  It reads the graph's own
+    class rows and never writes them.
     """
-    return _rainbow_triangle(g, _class_rows(g))
+    rows = g._rows()
+    if len(rows) < 3:
+        return None
+    found = _first_rainbow(rows, g.edge_colors(), (1 << g.n) - 1)[0]
+    return None if found is None else Witness(RAINBOW_TRIANGLE, found)
 
 
 def _check_color(g: ColoredCompleteGraph, color: int) -> None:

@@ -3,10 +3,10 @@
 A coloring with no rainbow triangle always splits into at least two parts so
 that each pair of parts is joined monochromatically and at most two colors
 appear between parts (Gallai 1967; Gyarfas & Simonyi 2004).
-``gallai_partition`` takes the one split that the detectors' helpers find:
-the components that the colors outside a between-color set span, for the
-first set, among those meeting vertex 0, that splits the vertex set
-(``detectors._first_split``).  By the split lemma in
+``gallai_partition`` takes the root split that the rainbow scan
+(``detectors._first_rainbow``) finds on its way: the components that the
+colors outside a between-color set span, for the first set, among those
+meeting vertex 0, that splits the vertex set.  By the split lemma in
 ``detectors._gallai_blocks`` no other set needs trying: a single color that
 splits is the only one, and every pair that splits holds it and gives as
 many blocks or more; with no single color, only one pair splits.  With no
@@ -20,7 +20,6 @@ blocks joined in one color that every other block sees in one color too.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 from typing import Sequence
 
 from .coloring import (
@@ -32,14 +31,7 @@ from .coloring import (
     relabel,
     substitute,
 )
-from .detectors import (
-    MONO_CYCLE,
-    Witness,
-    _class_rows,
-    _first_split,
-    _rainbow_triangle,
-    dirac_hamiltonian,
-)
+from .detectors import MONO_CYCLE, RAINBOW_TRIANGLE, Witness, _first_rainbow, dirac_hamiltonian
 from .errors import HypothesisViolated, InvalidPartition, NotGallai
 
 
@@ -110,15 +102,18 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
             return PartitionReport(
                 False, f"pair ({i},{j}) colored {c}, not among between-colors", pair=(i, j)
             )
-    t = len(p.parts)
-    for j in range(1, t):
+    rows = g._rows()
+    absent = [0] * g.n
+    members = [part.vertices() for part in p.parts]
+    for j in range(1, len(p.parts)):
+        mask = p.parts[j].mask
         for i in range(j):
             if (i, j) not in declared:
                 return PartitionReport(False, f"pair ({i},{j}) has no declared color", pair=(i, j))
             c = declared[(i, j)]
-            for u in p.parts[i].vertices():
-                row = g.class_mask_row(c, u)
-                bad = p.parts[j].mask & ~row
+            row = rows.get(c, absent)
+            for u in members[i]:
+                bad = mask & ~row[u]
                 if bad:
                     v = (bad & -bad).bit_length() - 1
                     return PartitionReport(
@@ -204,8 +199,9 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     """A valid partition of a rainbow-triangle-free coloring.
 
     The blocks of the first between-color set, among the colors meeting
-    vertex 0, that splits the vertex set: single colors first, then pairs
-    (the order ``detectors._first_rainbow`` tries them in).  By the split
+    vertex 0, that splits the vertex set: single colors first, then pairs.
+    That is the root split of the rainbow scan (``detectors._first_rainbow``),
+    read from the one call that also clears the coloring.  By the split
     lemma in ``detectors._gallai_blocks`` no other set splits it into fewer
     blocks.  With ``coarsest=True`` twin blocks are merged until no further
     pair of returned parts can be merged without breaking validity.
@@ -220,14 +216,11 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     """
     if g.n < 2:
         raise ValueError(f"partition needs at least 2 vertices, got {g.n}")
-    rows = _class_rows(g)
-    rw = _rainbow_triangle(g, rows)
-    if rw is not None:
-        raise NotGallai(rw)
+    rows = g._rows()
     colors = g.edge_colors()
-    at_0 = [c for c, r in rows.items() if r[0]]
-    blocks = _first_split(rows, chain(((c,) for c in at_0), combinations(at_0, 2)), (1 << g.n) - 1)
-    assert blocks is not None, "rainbow-triangle-free colorings always admit a partition"
+    found, blocks = _first_rainbow(rows, colors, (1 << g.n) - 1)
+    if found is not None:
+        raise NotGallai(Witness(RAINBOW_TRIANGLE, found))
     if coarsest:
         blocks = _merge_twins(rows[_block_pair_color(colors, blocks[0], blocks[1])], blocks)
     p = _assemble(g, colors, blocks)

@@ -19,7 +19,12 @@ from gallai_lab.coloring import (
     substitute,
 )
 from gallai_lab.constructions import build_extremal_odd, random_gallai
-from gallai_lab.detectors import _gallai_blocks, find_mono_cycle, find_rainbow_triangle
+from gallai_lab.detectors import (
+    _first_rainbow,
+    _gallai_blocks,
+    find_mono_cycle,
+    find_rainbow_triangle,
+)
 from gallai_lab.errors import HypothesisViolated, InvalidPartition, NotGallai
 from gallai_lab.structure import (
     GallaiPartition,
@@ -34,6 +39,7 @@ from gallai_lab.structure import (
 from oracles import (
     gallai_partition_reference,
     random_coloring,
+    rainbow_triangles_bruteforce,
     random_hub_configuration,
     set_partitions,
 )
@@ -165,7 +171,8 @@ def test_split_lemma_on_any_coloring_and_vertex_set():
     # At most one single color splits s; if c does, every other set that
     # splits s is a pair holding c, with as many blocks or more; if none
     # does, at most one pair splits s, and both its colors meet s's least
-    # vertex inside s.  gallai_partition tries only the first such set.
+    # vertex inside s.  gallai_partition takes only the first such set, the
+    # split that the rainbow scan returns with s's first rainbow triangle.
     rng = random.Random(24)
     pair_roots = 0
     for trial in range(400):
@@ -197,6 +204,14 @@ def test_split_lemma_on_any_coloring_and_vertex_set():
             for cand in splits:
                 assert set(cand) <= at_x
                 pair_roots += 1
+        found, split = _first_rainbow(rows, g.edge_colors(), s)
+        inside = [t for t in rainbow_triangles_bruteforce(g) if all(s >> v & 1 for v in t)]
+        assert found == (inside[0] if inside else None), (g.edge_colors(), s)
+        order = [(c,) for c in sorted(at_x)] + list(itertools.combinations(sorted(at_x), 2))
+        if split is not None:
+            assert split == next(splits[cand] for cand in order if cand in splits)
+        else:
+            assert found is not None or s.bit_count() == 1
     assert pair_roots >= 20
 
 
@@ -321,15 +336,36 @@ def test_partition_deterministic():
         assert gallai_partition(g) == gallai_partition(g)
 
 
-def test_partition_reads_the_palette_once(monkeypatch):
-    g = random_gallai(40, 4, 9)
-    expected = gallai_partition(g, coarsest=True)
+def test_scan_and_partition_copy_no_rows(monkeypatch):
+    # Both read the graph's own row table: they ask for neither the palette
+    # nor a class copy, and leave every class as it was.
+    hosts = [
+        random_gallai(40, 4, 9),
+        random_gallai(64, 300, 5),
+        ColoredCompleteGraph(64, 2016, range(1, 2017)),
+    ]
+    before = [{c: g.class_masks(c) for c in g.colors_used()} for g in hosts]
     calls = []
-    colors_used = ColoredCompleteGraph.colors_used
-    monkeypatch.setattr(ColoredCompleteGraph, "colors_used",
-                        lambda self: calls.append(self) or colors_used(self))
-    assert gallai_partition(g, coarsest=True) == expected
-    assert len(calls) == 1
+
+    def spy(name):
+        method = getattr(ColoredCompleteGraph, name)
+        return lambda self, *args: calls.append(name) or method(self, *args)
+
+    for name in ("colors_used", "class_masks"):
+        monkeypatch.setattr(ColoredCompleteGraph, name, spy(name))
+    for g in hosts[:2]:
+        assert find_rainbow_triangle(g) is None
+        for coarsest in (False, True):
+            assert validate_partition(g, gallai_partition(g, coarsest)).ok
+    rainbow = hosts[2]
+    assert find_rainbow_triangle(rainbow).vertices == (0, 1, 2)
+    for coarsest in (False, True):
+        with pytest.raises(NotGallai) as info:
+            gallai_partition(rainbow, coarsest)
+        assert info.value.witness.vertices == (0, 1, 2)
+    assert calls == []
+    monkeypatch.undo()
+    assert [{c: g.class_masks(c) for c in g.colors_used()} for g in hosts] == before
 
 
 # -- coarsest flag vs brute-force set partitions -------------------------------------
