@@ -49,7 +49,7 @@ class ConstructionRecipe:
         d = json.loads(text)
         return cls(
             kind=d["kind"],
-            parameters=tuple(sorted(d["parameters"].items())),
+            parameters=tuple(d["parameters"].items()),
             expected_order=d["expected_order"],
             expected_properties=tuple(d["expected_properties"]),
         )

@@ -13,6 +13,10 @@ many blocks or more; with no single color, only one pair splits.  With no
 rainbow triangle any two blocks are joined in one color of the set, so the
 split is valid by construction; it is validated once, as a safety net.
 
+A partition is its parts plus its reduced coloring: a ``ColoredCompleteGraph``
+with one vertex per part, read off the parts' least vertices, whose colors
+are the between-colors.  The pair colors and between-colors are views of it.
+
 With ``coarsest=True`` twin blocks are then merged (``_merge_twins``): two
 blocks joined in one color that every other block sees in one color too.
 """
@@ -37,20 +41,29 @@ from .errors import HypothesisViolated, InvalidPartition, NotGallai
 
 @dataclass(frozen=True)
 class GallaiPartition:
-    """Parts plus the declared between-part colors; parts are host subsets."""
+    """Parts of a host plus the reduced coloring on them.
+
+    ``parts`` are host subsets; vertex i of ``reduced`` is part i, and the
+    color of its pair {i, j} is the color claimed between parts i and j.
+    Its palette is the host's.
+    """
 
     n: int
     parts: tuple[VertexSubset, ...]
-    between_colors: tuple[int, ...]
-    pair_colors: tuple[tuple[int, int, int], ...]  # (i, j, color) for i < j
+    reduced: ColoredCompleteGraph
+
+    @property
+    def between_colors(self) -> tuple[int, ...]:
+        return self.reduced.colors_used()
+
+    @property
+    def pair_colors(self) -> tuple[tuple[int, int, int], ...]:
+        """(i, j, color) for i < j, in store order (j-major)."""
+        pairs = ((i, j) for j in range(1, self.reduced.n) for i in range(j))
+        return tuple((i, j, c) for (i, j), c in zip(pairs, self.reduced.edge_colors()))
 
     def pair_color(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        for a, b, c in self.pair_colors:
-            if (a, b) == (i, j):
-                return c
-        raise KeyError((i, j))
+        return self.reduced.color_of(i, j)
 
     def to_json_dict(self) -> dict:
         return {
@@ -89,28 +102,20 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
         return PartitionReport(False, f"vertex {v} is in no part")
     if g.n >= 2 and len(p.parts) < 2:
         return PartitionReport(False, "fewer than 2 parts")
-    if len(p.between_colors) > 2:
-        return PartitionReport(False, f"{len(p.between_colors)} between-part colors, at most 2 allowed")
-    declared = {}
-    for i, j, c in p.pair_colors:
-        if not (0 <= i < j < len(p.parts)):
-            return PartitionReport(False, f"pair ({i},{j}) is not a valid part pair")
-        if (i, j) in declared:
-            return PartitionReport(False, f"pair ({i},{j}) is declared twice", pair=(i, j))
-        declared[(i, j)] = c
-        if c not in p.between_colors:
-            return PartitionReport(
-                False, f"pair ({i},{j}) colored {c}, not among between-colors", pair=(i, j)
-            )
+    if p.reduced.n != len(p.parts):
+        return PartitionReport(
+            False, f"reduced coloring has order {p.reduced.n}, partition has {len(p.parts)} parts"
+        )
+    flat = p.reduced.edge_colors()
+    between = len(set(flat))
+    if between > 2:
+        return PartitionReport(False, f"{between} between-part colors, at most 2 allowed")
     rows = g._rows()
     absent = [0] * g.n
     members = [part.vertices() for part in p.parts]
     for j in range(1, len(p.parts)):
         mask = p.parts[j].mask
-        for i in range(j):
-            if (i, j) not in declared:
-                return PartitionReport(False, f"pair ({i},{j}) has no declared color", pair=(i, j))
-            c = declared[(i, j)]
+        for i, c in enumerate(flat[j * (j - 1) // 2 : j * (j + 1) // 2]):
             row = rows.get(c, absent)
             for u in members[i]:
                 bad = mask & ~row[u]
@@ -126,16 +131,6 @@ def validate_partition(g: ColoredCompleteGraph, p: GallaiPartition) -> Partition
 
 
 # -- computing a partition -----------------------------------------------------
-
-
-def _block_pair_color(colors: Sequence[int], bi: int, bj: int) -> int:
-    """The color between the least vertices of two disjoint blocks.
-
-    ``colors`` is the host's flat triangular store (``edge_colors()``).
-    """
-    u = (bi & -bi).bit_length() - 1
-    v = (bj & -bj).bit_length() - 1
-    return colors[pair_index(u, v)]
 
 
 def _merge_twins(first: Sequence[int], blocks: list[int]) -> list[int]:
@@ -185,14 +180,10 @@ def _merge_twins(first: Sequence[int], blocks: list[int]) -> list[int]:
 
 def _assemble(g: ColoredCompleteGraph, colors: Sequence[int], blocks: list[int]) -> GallaiPartition:
     ordered = sorted(blocks, key=lambda m: (-m.bit_count(), (m & -m)))
-    pair_colors = [
-        (i, j, _block_pair_color(colors, ordered[i], ordered[j]))
-        for j in range(1, len(ordered))
-        for i in range(j)
-    ]
-    used = sorted({c for _, _, c in pair_colors})
+    lows = [(m & -m).bit_length() - 1 for m in ordered]
+    flat = [colors[pair_index(u, v)] for j, v in enumerate(lows) for u in lows[:j]]
     parts = tuple(VertexSubset(g.n, m) for m in ordered)
-    return GallaiPartition(g.n, parts, tuple(used), tuple(pair_colors))
+    return GallaiPartition(g.n, parts, ColoredCompleteGraph(len(ordered), g.k, flat))
 
 
 def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiPartition:
@@ -222,7 +213,8 @@ def gallai_partition(g: ColoredCompleteGraph, coarsest: bool = False) -> GallaiP
     if found is not None:
         raise NotGallai(Witness(RAINBOW_TRIANGLE, found))
     if coarsest:
-        blocks = _merge_twins(rows[_block_pair_color(colors, blocks[0], blocks[1])], blocks)
+        u, v = ((b & -b).bit_length() - 1 for b in blocks[:2])
+        blocks = _merge_twins(rows[g.color_of(u, v)], blocks)
     p = _assemble(g, colors, blocks)
     rep = validate_partition(g, p)
     if not rep.ok:
@@ -238,10 +230,7 @@ def reduced_graph(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredComplet
     rep = validate_partition(g, p)
     if not rep.ok:
         raise InvalidPartition(rep)
-    t = len(p.parts)
-    declared = {(i, j): c for i, j, c in p.pair_colors}
-    flat = [declared[i, j] for j in range(1, t) for i in range(j)]
-    return ColoredCompleteGraph(t, g.k, flat)
+    return ColoredCompleteGraph(len(p.parts), g.k, p.reduced.edge_colors())
 
 
 def reconstruct(g: ColoredCompleteGraph, p: GallaiPartition) -> ColoredCompleteGraph:

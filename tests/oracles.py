@@ -543,7 +543,8 @@ def gallai_partition_reference(g: ColoredCompleteGraph, coarsest: bool = False):
             continue
         if best is None or t < len(best.parts):
             parts = tuple(VertexSubset.of(n, b) for b in order)
-            best = GallaiPartition(n, parts, tuple(between_colors), tuple(pair_colors))
+            reduced = ColoredCompleteGraph(t, g.k, [c for _, _, c in pair_colors])
+            best = GallaiPartition(n, parts, reduced)
     return best
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gallai_lab.cli import main
 from gallai_lab.coloring import (
     MAX_VERTICES,
     VertexSubset,
@@ -110,10 +111,22 @@ def test_ramsey_cycle_lower_rejects_bad_parameters():
 # -- recipes ----------------------------------------------------------------------------
 
 
-def test_recipe_json_round_trip():
-    _, recipe = build_extremal_odd(3, 2)
-    again = ConstructionRecipe.from_json(recipe.to_json())
-    assert again == recipe
+def test_recipe_json_round_trip(capsys):
+    # The random recipe keeps the CLI's parameter order (n, k, seed), which is
+    # not sorted: reading it back must not reorder it.
+    assert main(["gen", "random", "--order", "5", "--k", "2", "--seed", "3"]) == 0
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.startswith("# recipe: ")
+    texts = [
+        build_extremal_odd(3, 2)[1].to_json(),
+        build_ramsey_cycle_lower(5, 5)[1].to_json(),
+        header[len("# recipe: "):],
+    ]
+    for text in texts:
+        recipe = ConstructionRecipe.from_json(text)
+        assert recipe.to_json() == text
+        assert ConstructionRecipe.from_json(recipe.to_json()) == recipe
+    assert recipe.parameters == (("n", 5), ("k", 2), ("seed", 3))
 
 
 def test_check_recipe_reports_violations():

@@ -68,8 +68,7 @@ def test_validate_partition_flags_bad_edges():
     bad = GallaiPartition(
         n=g.n,
         parts=good.parts,
-        between_colors=(1,),
-        pair_colors=tuple((i, j, 1) for i, j, _ in good.pair_colors),
+        reduced=ColoredCompleteGraph(len(good.parts), g.k, [1] * len(good.pair_colors)),
     )
     rep = validate_partition(g, bad)
     assert not rep.ok and rep.edge is not None
@@ -80,16 +79,14 @@ def test_validate_partition_flags_cover_and_overlap():
     incomplete = GallaiPartition(
         n=6,
         parts=(VertexSubset.of(6, [0, 1]), VertexSubset.of(6, [2, 3])),
-        between_colors=(g.color_of(0, 2),),
-        pair_colors=((0, 1, g.color_of(0, 2)),),
+        reduced=ColoredCompleteGraph(2, g.k, [g.color_of(0, 2)]),
     )
     rep = validate_partition(g, incomplete)
     assert not rep.ok
     overlapping = GallaiPartition(
         n=6,
         parts=(VertexSubset.of(6, range(4)), VertexSubset.of(6, [3, 4, 5])),
-        between_colors=(g.color_of(0, 4),),
-        pair_colors=((0, 1, g.color_of(0, 4)),),
+        reduced=ColoredCompleteGraph(2, g.k, [g.color_of(0, 4)]),
     )
     assert not validate_partition(g, overlapping).ok
 
@@ -100,26 +97,22 @@ def test_validate_partition_rejects_three_between_colors():
     p = GallaiPartition(
         n=6,
         parts=tuple(VertexSubset.of(6, [i]) for i in range(6)),
-        between_colors=(1, 2, 3),
-        pair_colors=tuple(
-            (i, j, g.color_of(i, j)) for j in range(6) for i in range(j)
-        ),
+        reduced=g,
     )
     assert not validate_partition(g, p).ok
 
 
-def test_validate_partition_rejects_a_pair_declared_twice():
+def test_validate_partition_rejects_a_reduced_coloring_of_the_wrong_order():
     g = substitute(ColoredCompleteGraph(2, 2, [2]), [complete_monochromatic(2, 2, 1)] * 2)
-    twice = GallaiPartition(
+    wrong = GallaiPartition(
         n=4,
         parts=(VertexSubset.of(4, [0, 1]), VertexSubset.of(4, [2, 3])),
-        between_colors=(1, 2),
-        pair_colors=((0, 1, 1), (0, 1, 2)),
+        reduced=ColoredCompleteGraph(3, 2, [2, 2, 2]),
     )
-    rep = validate_partition(g, twice)
-    assert not rep.ok and rep.pair == (0, 1)
+    rep = validate_partition(g, wrong)
+    assert not rep.ok and "order 3" in rep.reason
     with pytest.raises(InvalidPartition):
-        reconstruct(g, twice)
+        reconstruct(g, wrong)
 
 
 # -- gallai_partition on structured inputs ------------------------------------------
@@ -595,3 +588,8 @@ def test_partition_json_shape():
     d = p.to_json_dict()
     assert set(d.keys()) == {"parts", "between_colors", "pair_colors"}
     assert all(isinstance(x, list) for x in d["parts"])
+    t = len(p.parts)
+    assert d["pair_colors"] == [[i, j, p.reduced.color_of(i, j)] for j in range(t) for i in range(j)]
+    for j in range(t):
+        for i in range(j):
+            assert p.pair_color(j, i) == p.pair_color(i, j)
