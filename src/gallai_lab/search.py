@@ -42,6 +42,17 @@ the coloring the store refines: its cost grows with both, and so weighed a
 step costs about what a walk call does (1.2-5 microseconds in walk-bound
 and node-bound runs alike, Python 3.11 on a shared 2-vCPU VM).  The budget
 is the only thing that stops a threshold search short of an answer.
+
+``exists_avoiding`` asks one order at a time, and a threshold loop asks them
+in turn, so it keeps one suspended search: the last one that found its
+order f, stopped at that coloring.  A call on the same rules for an order
+above f (f at least 2) whose budget covers the steps already taken goes on
+from there instead of replaying everything below f.  Any other call drops
+it and starts afresh, and only a call that finds its order suspends its
+search.  Until then the suspended search holds its class store, path-end
+tables and vertex arrays: they grow with the classes stored, about 60 KB
+for R(C5,C6) at order 10.  Every answer and count is a fresh search's;
+only ``ms``, the call's own time, tells them apart.
 """
 
 from __future__ import annotations
@@ -407,14 +418,13 @@ class _Search:
         if budget is not None and budget < 1:
             raise BadParameters(f"step budget {budget} must be at least 1")
         self.p = problem
-        n, k = problem.n, problem.k
-        self.colors = [[0] * n for _ in range(n)]
-        self.masks = [[0] * n for _ in range(k + 1)]
+        k = problem.k
+        self.colors: list[list[int]] = []
+        self.masks: list[list[int]] = [[] for _ in range(k + 1)]
         self.sizes = [0] * (k + 1)  # edges of each color (index 0 unused)
-        self.tables: list = [None] * n
+        self.tables: list = []
+        self._grow(problem.n)
         self.meter = _StepMeter(budget)
-        # at v = 2 only m = 3 fits: these are the m = 3 tables for every prefix
-        self.triangles = _path_end_tables(self.masks, problem.forbidden, 2)
         self.collect = collect
         self.nodes = 0
         self.canonical = 0
@@ -427,16 +437,64 @@ class _Search:
             blocks.setdefault(m, []).append(c)
         self.seen = _ClassStore([b for b in blocks.values() if len(b) > 1])
 
-    def run(self) -> "_Search":
+    def _grow(self, n: int) -> None:
+        """Size the per-vertex arrays for n vertices, keeping what they hold.
+
+        Rows grow in place: the path-end tables of the current prefixes read
+        them.
+        """
+        more = n - len(self.tables)
+        for row in self.colors:
+            row.extend([0] * more)
+        self.colors.extend([0] * n for _ in range(more))
+        for row in self.masks:
+            row.extend([0] * more)
+        self.tables.extend([None] * more)
+        # at v = 2 only m = 3 fits: these are the m = 3 tables for every prefix
+        self.triangles = _path_end_tables(self.masks, self.p.forbidden, 2)
+
+    def can_resume(self, problem: AvoidanceProblem, budget: int | None) -> bool:
+        """May ``resume`` answer ``problem`` as a fresh search with ``budget`` would?
+
+        This search, stopped by ``_Found`` at its order f, has the same rules
+        as problem, and f is below problem's order.  Order 1 counts K_1 as a
+        node, which no higher order does, so f is at least 2.  The budget
+        must cover the steps already taken, which also refuses every budget
+        below 1.
+        """
+        p = self.p
+        return (2 <= p.n < problem.n
+                and (p.k, p.forbidden, p.rainbow_triangle_forbidden)
+                == (problem.k, problem.forbidden, problem.rainbow_triangle_forbidden)
+                and (budget is None or self.meter.steps <= budget))
+
+    def resume(self, problem: AvoidanceProblem, budget: int | None) -> "_Search":
+        """Go on from the coloring this search found, as a search for ``problem``.
+
+        Nothing below order f = self.p.n depends on the order searched, so
+        a fresh search for problem would reach the same coloring with the same
+        counts.  The counters, step meter, store and path-end tables carry on.
+        """
+        f = self.p.n
+        self.p = problem
+        # the prefixes' path-end tables count on this meter: change it in place
+        self.meter.cap = _StepMeter(budget).cap
+        self._grow(problem.n)
+        return self.run(f)
+
+    def run(self, resume_from: int = 0) -> "_Search":
         # _assign recurses once per edge: up to n * n more frames than the caller's
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + self.p.n ** 2)
         try:
-            if self.p.n == 1:
-                # K_1 has no vertex to complete; it still counts as one node
-                self._count_node(1)
-                self.canonical += 1
-            self._extend(1)
+            if resume_from:
+                self._replay(1, 0, 1, False, resume_from)
+            else:
+                if self.p.n == 1:
+                    # K_1 has no vertex to complete; it still counts as one node
+                    self._count_node(1)
+                    self.canonical += 1
+                self._extend(1)
         except _Found:
             pass
         except _OutOfSteps:
@@ -471,7 +529,7 @@ class _Search:
         # at v = 1 edge {0,1} is not colored yet: no floor and no row to tie with
         self._assign(v, 0, max(1, self.colors[0][1]), v >= 2)
 
-    def _assign(self, v: int, u: int, floor: int, tie: bool) -> None:
+    def _assign(self, v: int, u: int, floor: int, tie: bool, start: int = 1) -> None:
         """Try each color on edge {u, v}, then go on to u + 1.
 
         Column v of the color word is v's vector, read in the order it is
@@ -491,6 +549,8 @@ class _Search:
         completion, which is the lexicographically first avoider: that
         avoider is the min-image of its class and its parent the min-image
         of its own, so no bound cuts either and the store kept the parent.
+        Colors below ``start`` are skipped as well: ``_replay`` went through
+        them already.
         """
         if u == v:
             self._complete_vertex(v)
@@ -501,7 +561,7 @@ class _Search:
         bu = 1 << u
         bv = 1 << v
         above = colors[v - 1][u] if tie else 0
-        for c in range(max(floor, above), self.p.k + 1):
+        for c in range(max(floor, above, start), self.p.k + 1):
             if not self._edge_ok(u, v, c):
                 continue
             colors[u][v] = colors[v][u] = c
@@ -513,6 +573,33 @@ class _Search:
             masks[c][u] ^= bv
             masks[c][v] ^= bu
             colors[u][v] = colors[v][u] = 0
+
+    def _replay(self, v: int, u: int, floor: int, tie: bool, f: int) -> None:
+        """Re-enter ``_assign`` along the coloring of order f that the search stopped on.
+
+        ``_Found`` left colors, masks and sizes holding that coloring.  Each
+        edge's loop starts at the edge's own color, which was tested and
+        counted already, and goes on past it as ``_assign``'s would.  The
+        coloring's node was counted as canonical in decision mode; now f is
+        below the order searched, so it enters the store, as the first member
+        of its class to come there.
+        """
+        colors = self.colors
+        if u == v:
+            if v + 1 < f:
+                self._replay(v + 1, 0, colors[0][1], True, f)
+                return
+            if not self.seen.add(self.masks, f, self.sizes):
+                raise AssertionError(f"the resumed order-{f} coloring was already stored")
+            self._extend(f)
+            return
+        c = colors[u][v]
+        self._replay(v, u + 1, floor, tie and c == colors[v - 1][u], f)
+        self.sizes[c] -= 1
+        self.masks[c][u] ^= 1 << v
+        self.masks[c][v] ^= 1 << u
+        colors[u][v] = colors[v][u] = 0
+        self._assign(v, u, floor, tie, c + 1)
 
     def _edge_ok(self, u: int, v: int, c: int) -> bool:
         """May edge {u, v} (u < v) take color c, given the edges colored so far?
@@ -556,6 +643,10 @@ class _Search:
         self._extend(level)
 
 
+# the last search exists_avoiding saw find its order, suspended there: at most one
+_suspended: list[_Search] = []
+
+
 def exists_avoiding(
     problem: AvoidanceProblem,
     budget: int | None = None,
@@ -568,15 +659,27 @@ def exists_avoiding(
     of order l and one per call of a path-end walk.  ``limit_overrides`` maps a palette
     size to the largest order its caller allows; a larger order raises
     OverLimit.
+
+    A call that finds its order keeps its search suspended, and the next
+    call goes on from it when it asks a higher order on the same rules
+    with a budget that covers the steps taken so far (``_Search.can_resume``).
+    Each call takes the suspended search on entry, so any other call drops
+    it, and its store and tables with it.  Status, coloring and every count
+    but ``ms`` are those of a fresh search; ``ms`` is this call's own time.
     """
+    s = _suspended.pop() if _suspended else None
     limit = (limit_overrides or {}).get(problem.k)
     if limit is not None and problem.n > limit:
         raise OverLimit(problem.n, problem.k, limit)
     t0 = time.monotonic()
-    s = _Search(problem, budget).run()
+    if s is not None and s.can_resume(problem, budget):
+        s.resume(problem, budget)
+    else:
+        s = _Search(problem, budget).run()
     ms = int((time.monotonic() - t0) * 1000)
     stats = SearchStats(s.nodes, s.canonical, s.rejected, s.meter.steps, ms)
     if len(s.words) == problem.n:
+        _suspended.append(s)
         return SearchOutcome(FOUND, ColoredCompleteGraph(problem.n, problem.k, s.words[-1]), stats)
     return SearchOutcome(BUDGET_EXCEEDED if s.exceeded else EXHAUSTED, None, stats)
 

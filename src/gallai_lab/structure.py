@@ -31,7 +31,6 @@ from .coloring import (
     ColoredCompleteGraph,
     VertexSubset,
     induced,
-    pair_index,
     relabel,
     substitute,
 )
@@ -180,8 +179,11 @@ def _merge_twins(first: Sequence[int], blocks: list[int]) -> list[int]:
 
 def _assemble(g: ColoredCompleteGraph, colors: Sequence[int], blocks: list[int]) -> GallaiPartition:
     ordered = sorted(blocks, key=lambda m: (-m.bit_count(), (m & -m)))
-    lows = [(m & -m).bit_length() - 1 for m in ordered]
-    flat = [colors[pair_index(u, v)] for j, v in enumerate(lows) for u in lows[:j]]
+    # each part's least vertex v with v's offset in the flat store; parts go
+    # by size, so either end of a pair may be the larger
+    lows = [(v, v * (v - 1) // 2) for v in ((m & -m).bit_length() - 1 for m in ordered)]
+    flat = [colors[tv + u if u < v else tu + v]
+            for j, (v, tv) in enumerate(lows) for u, tu in lows[:j]]
     parts = tuple(VertexSubset(g.n, m) for m in ordered)
     return GallaiPartition(g.n, parts, ColoredCompleteGraph(len(ordered), g.k, flat))
 

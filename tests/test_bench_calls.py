@@ -63,3 +63,19 @@ def test_one_sample_of_each_workload_passes(name, tmp_path):
     assert all(r.ok for r in results), [r.error for r in results if not r.ok]
     if name == "hosts-64":
         assert any(r.detail["witnesses"] > 0 for r in results)
+
+
+@pytest.mark.parametrize("name", ["ramsey-c5c6", "ramsey-c6c6", "gallai-k3"])
+def test_consecutive_search_tasks_give_the_same_answers(name, tmp_path):
+    # exists_avoiding may go on from the search it suspended at the order
+    # below; a task starts again from order 1, so nothing may carry over
+    # from one task to the next
+    tr = spans.NullTracer()
+    work = workloads.WORKLOADS[name]()
+    work.setup(LIB, 3, tmp_path, tr)
+    first, second = (work.sample(tr) for _ in range(2))
+    orders = [[{k: v for k, v in o.items() if k != "ms"} for o in r.detail["orders"]]
+              for (r,) in (first, second)]
+    assert all(r.ok for r in first + second)
+    assert orders[0] == orders[1]
+    assert orders[0][-1]["status"] == "exhausted"

@@ -796,6 +796,88 @@ def test_per_order_counts_of_the_benchmark_searches():
     }
 
 
+def _fresh_outcome(p: AvoidanceProblem, budget):
+    # what exists_avoiding answers from a search started afresh
+    s = search._Search(p, budget).run()
+    if len(s.words) == p.n:
+        status, word = FOUND, tuple(s.words[-1])
+    else:
+        status, word = (BUDGET_EXCEEDED if s.exceeded else EXHAUSTED), None
+    return status, word, s.nodes, s.canonical, s.rejected, s.meter.steps
+
+
+def _outcome(out):
+    word = out.coloring.edge_colors() if out.coloring is not None else None
+    st = out.stats
+    return out.status, word, st.nodes, st.canonical, st.rejected, st.steps
+
+
+def test_resumed_searches_answer_as_fresh_ones(monkeypatch):
+    # exists_avoiding goes on from the search that found the order below;
+    # every answer must be the one a fresh search gives.  Orders go up by
+    # one, skip, repeat and go down; a budget is none, below the steps the
+    # suspended search has taken (it cannot resume) or exactly those steps
+    resumed = []
+    resume = search._Search.resume
+    monkeypatch.setattr(search._Search, "resume",
+                        lambda s, p, b: resumed.append((s.p.n, p.n, b)) or resume(s, p, b))
+    rules = [  # palette, forbidden cycle orders, rainbow rule, highest order
+        (2, (5, 6), False, 11), (2, (6, 6), False, 8), (2, (4, 5), False, 7),
+        (2, (7, 7), False, 13), (3, (3, 3, 3), True, 11), (3, (3, 4, 5), True, 12),
+    ]
+    rng = random.Random(30)
+    budgets = set()
+    statuses = set()
+    for k, forbidden, rainbow, top in rules:
+        n, last = 1, None
+        for _ in range(24):
+            n += rng.choice((1, 1, 1, 2, 3, 0, -1, -3))
+            n = max(1, min(n, 2 * top - n))
+            budget = None
+            if last is not None and last[0] == FOUND:
+                kind = rng.choice((None, None, "below", "equal"))
+                budget = {None: None, "below": max(1, last[5] - rng.randint(1, 20)),
+                          "equal": last[5]}[kind]
+                budgets.add(kind)
+            p = AvoidanceProblem(n, k, forbidden, rainbow)
+            before = len(resumed)
+            last = _outcome(exists_avoiding(p, budget=budget))
+            assert last == _fresh_outcome(p, budget), (p, budget, len(resumed) > before)
+            statuses.add(last[0])
+    assert budgets == {None, "below", "equal"}
+    assert statuses == {FOUND, EXHAUSTED, BUDGET_EXCEEDED}
+    # resumed from order 2 and up only, to a higher order, with the budget at
+    # least once exactly the steps already taken
+    assert len(resumed) >= 30
+    assert all(2 <= f < n for f, n, _ in resumed)
+    assert any(b is not None for _, _, b in resumed)
+
+
+def test_only_a_search_that_found_its_order_stays_suspended():
+    gr3 = (3, (3, 3, 3), True)
+    assert exists_avoiding(AvoidanceProblem(9, *gr3)).status == FOUND
+    (s,) = search._suspended
+    # a call on other rules drops it; a higher order on the first rules then
+    # starts afresh
+    assert exists_avoiding(AvoidanceProblem(5, 2, (5, 6))).status == FOUND
+    assert search._suspended[0] is not s
+    exists_avoiding(AvoidanceProblem(10, *gr3))
+    assert search._suspended[0] is not s
+    # a bad budget is refused while a search is suspended, and drops it
+    with pytest.raises(BadParameters):
+        exists_avoiding(AvoidanceProblem(11, *gr3), budget=0)
+    assert search._suspended == []
+    # exhaustion and a budget that runs out leave nothing suspended
+    exists_avoiding(AvoidanceProblem(10, *gr3))
+    assert exists_avoiding(AvoidanceProblem(11, *gr3)).status == EXHAUSTED
+    assert search._suspended == []
+    exists_avoiding(AvoidanceProblem(10, *gr3))
+    steps = search._suspended[0].meter.steps
+    out = exists_avoiding(AvoidanceProblem(11, *gr3), budget=steps)
+    assert (out.status, out.stats.steps) == (BUDGET_EXCEEDED, steps)
+    assert search._suspended == []
+
+
 def test_edge_test_agrees_with_bruteforce_on_random_prefixes(monkeypatch):
     # _edge_ok asked as the search asks it: the coloring on 0..v-1 is fixed
     # and v's edges to 0..u-1 are colored.  Edge {u, v} may take color c
